@@ -20,10 +20,19 @@ from __future__ import annotations
 import dataclasses
 from typing import Sequence
 
-from .core import CategoryContext, SignedWord, Word, concat, empty_word, mirror_word
+from .core import (
+    CategoryContext,
+    SignedWord,
+    Word,
+    concat,
+    empty_word,
+    _true,
+    mirror_word,
+    signed_from_word,
+)
 from .errors import INCONCLUSIVE, GarsideError, NotADivisor, UnsupportedError
-from .garside import GarsideFamily, NormalDecomposition, left_fraction
-from .germs import GermContext
+from .garside import GarsideFamily, left_fraction
+from .germs import GermContext, _bits
 from . import reversing as rev
 
 
@@ -66,7 +75,20 @@ class GarsideMap:
                 j = self._phi_of(i)
                 self._phi[i] = j
                 self._phi_inv[j] = i
+        # divisor index of each generator, None for letters outside Div(Δ)
+        self._gen_divisor: list[int | None] = []
+        for letter in range(len(ctx.presentation.generators)):
+            i = family.index(ctx.presentation.word([letter]))
+            self._gen_divisor.append(i if i in self.compl else None)
         self._meet_memo: dict[tuple[int, int], int | None] = {}
+        self._quot_memo: dict[tuple[int, int], int | None] = {}
+        # germ arm: family index i is the generator of germ element elem[i]
+        self._germ = family._germ
+        if self._germ is not None:
+            self._elem = self._germ.elem_of_gen
+            self._gen: list[int | None] = [None] * self._germ.germ.size
+            for e, i in self._germ.gen_of_elem.items():
+                self._gen[e] = i
 
     def _phi_of(self, i: int) -> int:
         c = self.compl[i]
@@ -107,21 +129,74 @@ class GarsideMap:
         """
         if power == 0 or g.is_empty:
             return g
-        table = self._phi if power > 0 else self._phi_inv
-        letters = list(g.letters)
-        for _ in range(abs(power)):
-            out: list[int] = []
-            for letter in letters:
-                i = self.family.index(self.ctx.presentation.word([letter]))
-                if i is None or i not in self.compl:
-                    raise NotADivisor(
-                        self.ctx.presentation.generators[letter].name
-                    )
-                out.extend(self.family.elements[table[i]].letters)
-            letters = out
-        src = self.ctx.presentation.generators[letters[0]].source if letters else g.source
-        tgt = self.ctx.presentation.generators[letters[-1]].target if letters else g.target
+        gens = self.ctx.presentation.generators
+        elements = self.family.elements
+        letters: list[int] = []
+        for letter in g.letters:
+            i = self._gen_divisor[letter]
+            if i is None:
+                raise NotADivisor(gens[letter].name)
+            letters.extend(elements[self.phi_index(i, power)].letters)
+        src = gens[letters[0]].source if letters else g.source
+        tgt = gens[letters[-1]].target if letters else g.target
         return Word(tuple(letters), src, tgt)
+
+    # -- index-level API: divisors as family indices, None the identity --------
+
+    def phi_index(self, i: int, power: int) -> int:
+        """φ^power of the divisor with index i."""
+        table = self._phi if power > 0 else self._phi_inv
+        for _ in range(abs(power)):
+            i = table[i]
+        return i
+
+    def left_quotient_index(self, i: int, j: int) -> int | None:
+        """The divisor i\\j with i·(i\\j) = j; raises when i does not divide j."""
+        if i == j:
+            return None
+        if self._germ is not None:
+            q = self._germ.structure.quot(self._elem[i], self._elem[j])
+            return self._gen[q]
+        key = (i, j)
+        if key in self._quot_memo:
+            return self._quot_memo[key]
+        elements = self.family.elements
+        q = self.ctx.left_quotient(elements[i], elements[j])
+        if q is None or q is INCONCLUSIVE:
+            raise GarsideError("divisor does not divide: " + self.ctx.show(elements[j]))
+        out = None if q.is_empty else self.family.index(q)
+        if out is None and not q.is_empty:
+            raise GarsideError("quotient of two divisors left the family")
+        self._quot_memo[key] = out
+        return out
+
+    def strip_delta(self, factors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """(number of leading Δ factors, the factors after them)."""
+        lead = 0
+        compl = self.compl
+        while lead < len(factors) and compl.get(factors[lead], 0) is None:
+            lead += 1
+        return lead, factors[lead:]
+
+    def normal_factors(self, seq: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """
+        Normalise a sequence of divisor indices and strip its leading Δs:
+        one germ sweep over element ids, or the family's normal form of the
+        concatenated word.
+        """
+        if self._germ is not None:
+            elem = self._elem
+            gen = self._gen
+            swept = self._germ.structure.normalize([elem[i] for i in seq])
+            return self.strip_delta(tuple([gen[e] for e in swept]))
+        if not seq:
+            return 0, ()
+        elements = self.family.elements
+        letters: list[int] = []
+        for i in seq:
+            letters.extend(elements[i].letters)
+        w = Word(tuple(letters), elements[seq[0]].source, elements[seq[-1]].target)
+        return self.strip_delta(self.family.normalize(w).factors)
 
     def meet(self, i: int, j: int) -> int | None:
         """
@@ -133,9 +208,8 @@ class GarsideMap:
         if key in self._meet_memo:
             return self._meet_memo[key]
         out: int | None
-        if isinstance(self.ctx, GermContext) and self.family._germ is not None:
-            e = self.ctx.structure.meet(self.ctx.elem_of_gen[i], self.ctx.elem_of_gen[j])
-            out = None if self.ctx.germ.is_identity(e) else self.ctx.gen_of_elem[e]
+        if self._germ is not None:
+            out = self._gen[self._germ.structure.meet(self._elem[i], self._elem[j])]
         else:
             obj = self.family.elements[i].source
             common = [
@@ -278,13 +352,6 @@ def _germ_map(ctx: GermContext, family: GarsideFamily) -> GarsideMap | Unbounded
     return GarsideMap(ctx, family, delta, divisors)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclasses.dataclass(frozen=True)
 class DeltaNormal:
     """Δ^m · x₁⋯x_k with the xᵢ proper nontrivial divisors, normal."""
@@ -327,7 +394,7 @@ class DeltaNormal:
 
     def signed_word(self) -> SignedWord:
         if self.m >= 0:
-            return _signed(self.word())
+            return signed_from_word(self.word())
         dpow = empty_word(self.source)
         for _ in range(-self.m):
             dpow = concat(dpow, self.gm.delta_word(dpow.target))
@@ -340,10 +407,6 @@ class DeltaNormal:
         return SignedWord(letters, self.source, self.target)
 
 
-def _signed(w: Word) -> SignedWord:
-    return SignedWord(tuple((g, +1) for g in w.letters), w.source, w.target)
-
-
 def delta_normalize(gm: GarsideMap, w: SignedWord | Word) -> DeltaNormal:
     """
     Maximal-inf Δ-normal form.  Positive input: normalize and strip leading
@@ -351,7 +414,7 @@ def delta_normalize(gm: GarsideMap, w: SignedWord | Word) -> DeltaNormal:
     Δ⁻ᵖ to the front through φ⁻ᵖ.
     """
     if isinstance(w, Word):
-        w = _signed(w)
+        w = signed_from_word(w)
     ctx = gm.ctx
     family = gm.family
     if w.is_positive:
@@ -378,18 +441,8 @@ def delta_normalize(gm: GarsideMap, w: SignedWord | Word) -> DeltaNormal:
                 raise GarsideError("padding failed: d does not divide its Δ-power")
             shift = -p
             n = concat(gm.phi(e, -p), npart)
-    nd = family.normalize(n)
-    # strip leading Δ factors
-    lead = 0
-    for i in nd.factors:
-        if gm.compl.get(i, 0) is None:
-            lead += 1
-        else:
-            break
-    factors = nd.factors[lead:]
-    return DeltaNormal(
-        gm, shift + lead, factors, w.source, w.target
-    )
+    lead, factors = gm.strip_delta(family.normalize(n).factors)
+    return DeltaNormal(gm, shift + lead, factors, w.source, w.target)
 
 
 def gcd(gm: GarsideMap, u: Word, v: Word) -> Word:
@@ -433,12 +486,6 @@ def lcm_left(gm: GarsideMap, u: Word, v: Word) -> Word:
     if isinstance(z, rev.NoCommonMultiple) or z is INCONCLUSIVE:
         raise GarsideError("left-lcm unavailable in a bounded context")
     return mirror_word(z)
-
-
-def _true(value) -> bool:
-    if value is INCONCLUSIVE:
-        raise UnsupportedError("oracle inconclusive")
-    return bool(value)
 
 
 __all__ = [

@@ -7,14 +7,29 @@ tests assert only convention-independent facts): for g = Δ^m·x₁⋯x_k,
 
     cycling    conjugates by ι(g) = φ^{-m}(x₁), giving Δ^m·x₂⋯x_k·φ^{-m}(x₁);
     decycling  conjugates by x_k^{-1},         giving Δ^m·φ^m(x_k)·x₁⋯x_{k-1};
-    sliding    conjugates by the preferred prefix gcd(φ^{-m}(x₁), ∂x_k).
+    sliding    conjugates by the preferred prefix p = gcd(φ^{-m}(x₁), ∂x_k).
 
-All three stay inside the conjugacy class; iterated sliding reaches a
-circuit because the state space (Δ-normal keys at fixed inf/sup window) is
-finite.  The sliding-circuit set is closed under conjugation by divisors of
-Δ, so a BFS over divisor conjugations that re-slides every candidate and
-keeps the extremal (inf, sup) layer enumerates it; conjugators are recorded
-per node and every witness is re-verified before exposure.
+All three run on the factor table: an element is the pair (m, factors) of
+family indices, and each operation renormalises one short index sequence
+(`GarsideMap.normal_factors`) and strips its leading Δs.  A slide uses
+Δ·φ(g) = g·Δ to move p across Δ^m,
+
+    p⁻¹·Δ^m·x₁⋯x_k·p = Δ^m·(φ^m(p)\\x₁)·x₂⋯x_k·p,
+
+which stays positive because p divides φ^{-m}(x₁).  All three stay inside
+the conjugacy class; iterated sliding reaches a circuit because the state
+space (Δ-normal keys at fixed inf/sup window) is finite.
+
+The sliding-circuit set is closed under conjugation by divisors of Δ, so a
+BFS over divisor conjugations that re-slides every candidate and keeps the
+extremal (inf, sup) layer enumerates it.  With s⁻¹ = ∂s·Δ⁻¹ the candidate
+for a divisor s is again positive after Δ^{m-1}:
+
+    s⁻¹·Δ^m·x₁⋯x_k·s = Δ^{m-1}·∂φ^{m-1}(s)·x₁⋯x_k·s.
+
+Conjugators are positive products of divisors; each node's conjugator is
+assembled as a signed word once, when the node is added, and every one is
+re-verified against the root before the set is returned.
 """
 
 from __future__ import annotations
@@ -22,8 +37,15 @@ from __future__ import annotations
 import dataclasses
 
 from .bounded import DeltaNormal, GarsideMap, delta_normalize
-from .core import SignedWord, Word, concat, concat_signed, empty_word, free_reduce
-from .errors import ExplosionGuard, GarsideError, INCONCLUSIVE
+from .core import (
+    SignedWord,
+    Word,
+    concat_signed,
+    empty_word,
+    free_reduce,
+    signed_from_word,
+)
+from .errors import ExplosionGuard, GarsideError
 
 
 def conj(ctx, g: SignedWord, c: SignedWord) -> SignedWord:
@@ -38,89 +60,65 @@ def signed_equal(gm: GarsideMap, u: SignedWord, v: SignedWord) -> bool:
     return du.m == dv.m and du.factors == dv.factors
 
 
-def _signed(w: Word) -> SignedWord:
-    return SignedWord(tuple((g, +1) for g in w.letters), w.source, w.target)
-
-
-def _from_power_and_word(gm: GarsideMap, m: int, w: Word, endpoints) -> DeltaNormal:
-    nd = gm.family.normalize(w)
-    lead = 0
-    for i in nd.factors:
-        if gm.compl.get(i, 0) is None:
-            lead += 1
-        else:
-            break
-    src, tgt = endpoints
-    return DeltaNormal(gm, m + lead, nd.factors[lead:], src, tgt)
+def _renormalized(gm: GarsideMap, d: DeltaNormal, m: int, seq) -> DeltaNormal:
+    """Δ^m·seq as a Δ-normal form at the endpoints of d."""
+    lead, factors = gm.normal_factors(seq)
+    return DeltaNormal(gm, m + lead, factors, d.source, d.target)
 
 
 def cycling(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
     """Conjugate by ι(d) = φ^{-m}(x₁); fixed point when there are no factors."""
     if not d.factors:
         return d
-    x1 = gm.family.elements[d.factors[0]]
-    iota = gm.phi(x1, -d.m)
-    tail = empty_word(_factor_source(gm, d, 1))
-    for i in d.factors[1:]:
-        tail = concat(tail, gm.family.elements[i])
-    tail = concat(tail, iota)
-    return _from_power_and_word(gm, d.m, tail, (d.source, d.target))
+    iota = gm.phi_index(d.factors[0], -d.m)
+    return _renormalized(gm, d, d.m, d.factors[1:] + (iota,))
 
 
 def decycling(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
     """Conjugate by x_k^{-1}; fixed point when there are no factors."""
     if not d.factors:
         return d
-    xk = gm.family.elements[d.factors[-1]]
-    head = gm.phi(xk, d.m)
-    w = head
-    for i in d.factors[:-1]:
-        w = concat(w, gm.family.elements[i])
-    return _from_power_and_word(gm, d.m, w, (d.source, d.target))
+    head = gm.phi_index(d.factors[-1], d.m)
+    return _renormalized(gm, d, d.m, (head,) + d.factors[:-1])
+
+
+def _prefix(gm: GarsideMap, d: DeltaNormal) -> int | None:
+    """Index of the preferred prefix; None is the identity."""
+    if not d.factors:
+        return None
+    f2 = gm.compl[d.factors[-1]]
+    if f2 is None:  # ∂x_k trivial would mean x_k = Δ, excluded from factors
+        return None
+    return gm.meet(gm.phi_index(d.factors[0], -d.m), f2)
 
 
 def preferred_prefix(gm: GarsideMap, d: DeltaNormal) -> Word:
     """gcd of φ^{-m}(x₁) and ∂x_k; the empty word when there are no factors."""
-    if not d.factors:
-        return empty_word(d.source)
-    x1 = gm.family.elements[d.factors[0]]
-    xk = gm.family.elements[d.factors[-1]]
-    f1 = gm.family.index(gm.phi(x1, -d.m))
-    f2 = gm.family.index(gm.complement(xk))
-    if f2 is None:  # ∂x_k trivial would mean x_k = Δ, excluded from factors
-        return empty_word(d.source)
-    mi = gm.meet(f1, f2)
-    if mi is None:
-        return empty_word(d.source)
-    return gm.family.elements[mi]
+    p = _prefix(gm, d)
+    return empty_word(d.source) if p is None else gm.family.elements[p]
 
 
 def cyclic_sliding(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
     """Conjugate by the preferred prefix."""
-    p = preferred_prefix(gm, d)
-    if p.is_empty:
+    p = _prefix(gm, d)
+    if p is None:
         return d
-    # p divides phi^{-m}(x1), so the conjugate stays positive:
-    # p^-1 Δ^m x1...xk p = Δ^m (φ^m(p)\x1) x2...xk p
-    x1 = gm.family.elements[d.factors[0]]
-    q = gm.ctx.left_quotient(gm.phi(p, d.m), x1)
-    if q is None or q is INCONCLUSIVE:
-        raise GarsideError("preferred prefix failed to divide the first factor")
-    w = q
-    for i in d.factors[1:]:
-        w = concat(w, gm.family.elements[i])
-    w = concat(w, p)
-    return _from_power_and_word(gm, d.m, w, (d.source, d.target))
-
-
-def _factor_source(gm: GarsideMap, d: DeltaNormal, start: int) -> int:
-    if start < len(d.factors):
-        return gm.family.elements[d.factors[start]].source
-    return d.source
+    # p divides φ^{-m}(x₁), so q = φ^m(p)\x₁ exists (a GarsideError otherwise)
+    q = gm.left_quotient_index(gm.phi_index(p, d.m), d.factors[0])
+    head = () if q is None else (q,)
+    return _renormalized(gm, d, d.m, head + d.factors[1:] + (p,))
 
 
 def _key(d: DeltaNormal) -> tuple[int, tuple[int, ...]]:
     return (d.m, d.factors)
+
+
+def _product(gm: GarsideMap, idxs, source: int) -> SignedWord:
+    """The positive signed word of a product of divisors, from `source`."""
+    elements = gm.family.elements
+    letters = tuple((g, +1) for i in idxs for g in elements[i].letters)
+    target = elements[idxs[-1]].target if idxs else source
+    return SignedWord(letters, source, target)
 
 
 def slide_to_circuit(gm: GarsideMap, d: DeltaNormal):
@@ -131,22 +129,18 @@ def slide_to_circuit(gm: GarsideMap, d: DeltaNormal):
     budget = gm.ctx.limits.node_budget
     seen: dict[tuple[int, tuple[int, ...]], int] = {}
     trail: list[DeltaNormal] = [d]
-    conjugators: list[Word] = []
+    prefixes: list[int | None] = []
     cur = d
     while _key(cur) not in seen:
         seen[_key(cur)] = len(trail) - 1
         if len(trail) > budget:
             raise ExplosionGuard("sliding did not reach a circuit within budget")
-        p = preferred_prefix(gm, cur)
-        nxt = cyclic_sliding(gm, cur)
-        conjugators.append(p)
-        trail.append(nxt)
-        cur = nxt
+        prefixes.append(_prefix(gm, cur))
+        cur = cyclic_sliding(gm, cur)
+        trail.append(cur)
     entry = seen[_key(cur)]
-    c = empty_word(d.source)
-    for p in conjugators[:entry]:
-        c = concat(c, p)
-    return trail[entry], _signed(c)
+    # a trivial prefix is a fixed point, so it can only close the trail
+    return trail[entry], _product(gm, prefixes[:entry], d.source)
 
 
 def circuit_of(gm: GarsideMap, d: DeltaNormal):
@@ -154,16 +148,16 @@ def circuit_of(gm: GarsideMap, d: DeltaNormal):
     The sliding circuit through a point known to lie on one: iterate sliding
     back around to the start, collecting (node, conjugator-from-d) pairs.
     """
-    out = [(d, _signed(empty_word(d.source)))]
-    c = empty_word(d.source)
+    out = [(d, signed_from_word(empty_word(d.source)))]
+    prefixes: list[int] = []
     cur = d
     while True:
-        p = preferred_prefix(gm, cur)
+        p = _prefix(gm, cur)
         nxt = cyclic_sliding(gm, cur)
-        c = concat(c, p)
         if _key(nxt) == _key(d):
             return out
-        out.append((nxt, _signed(c)))
+        prefixes.append(p)
+        out.append((nxt, _product(gm, prefixes, d.source)))
         cur = nxt
 
 
@@ -205,9 +199,10 @@ def sliding_circuit_set(gm: GarsideMap, g: SignedWord | Word) -> SlidingCircuitS
     verified against the root before the set is returned.
     """
     if isinstance(g, Word):
-        g = _signed(g)
+        g = signed_from_word(g)
     ctx = gm.ctx
     budget = ctx.limits.node_budget
+    elements = gm.family.elements
     d0 = delta_normalize(gm, g)
     limit, c_entry = slide_to_circuit(gm, d0)
     inf0, sup0 = limit.inf, limit.sup
@@ -220,30 +215,28 @@ def sliding_circuit_set(gm: GarsideMap, g: SignedWord | Word) -> SlidingCircuitS
         circuit = circuit_of(gm, point)
         for pos, (node, c_extra) in enumerate(circuit):
             key = _key(node)
-            succ = circuit[(pos + 1) % len(circuit)][0]
-            edges[key] = _key(succ)
+            edges[key] = _key(circuit[(pos + 1) % len(circuit)][0])
             if key in nodes:
                 continue
-            conjugator = free_reduce(concat_signed(c_to_point, c_extra))
-            nodes[key] = ConjugacyOrbitNode(node, conjugator)
+            nodes[key] = ConjugacyOrbitNode(node, concat_signed(c_to_point, c_extra))
             added.append(key)
             if len(nodes) > budget:
                 raise ExplosionGuard("sliding-circuit set exceeded the node budget")
         return added
 
     frontier = add_circuit(limit, c_entry)
-    obj_divisors = {
-        obj: [gm.family.elements[i] for i in idxs]
-        for obj, idxs in gm.divisors.items()
-    }
     while frontier:
         next_frontier: list = []
         for key in sorted(frontier):
             node = nodes[key]
-            src = node.element.source
-            for s in obj_divisors.get(src, ()):
-                candidate = conj(ctx, node.element.signed_word(), _signed(s))
-                dcand = delta_normalize(gm, candidate)
+            m, factors = key
+            for s in gm.divisors.get(node.element.source, ()):
+                # s⁻¹·Δ^m·x₁⋯x_k·s = Δ^{m-1}·∂φ^{m-1}(s)·x₁⋯x_k·s
+                ds = gm.compl[gm.phi_index(s, m - 1)]
+                seq = factors + (s,) if ds is None else (ds,) + factors + (s,)
+                obj = elements[s].target
+                lead, cfactors = gm.normal_factors(seq)
+                dcand = DeltaNormal(gm, m - 1 + lead, cfactors, obj, obj)
                 lim, c_slide = slide_to_circuit(gm, dcand)
                 if (lim.inf, lim.sup) != (inf0, sup0):
                     if lim.inf > inf0 or lim.sup < sup0:
@@ -253,11 +246,8 @@ def sliding_circuit_set(gm: GarsideMap, g: SignedWord | Word) -> SlidingCircuitS
                     continue
                 if _key(lim) in nodes:
                     continue
-                c_to_lim = free_reduce(
-                    concat_signed(
-                        concat_signed(node.conjugator, _signed(s)), c_slide
-                    )
-                )
+                c_to_s = signed_from_word(elements[s])
+                c_to_lim = concat_signed(concat_signed(node.conjugator, c_to_s), c_slide)
                 next_frontier.extend(add_circuit(lim, c_to_lim))
         frontier = next_frontier
 
@@ -289,9 +279,9 @@ def are_conjugate(gm: GarsideMap, g: SignedWord | Word, h: SignedWord | Word):
     assembled from the recorded conjugators and re-verified on every call.
     """
     if isinstance(g, Word):
-        g = _signed(g)
+        g = signed_from_word(g)
     if isinstance(h, Word):
-        h = _signed(h)
+        h = signed_from_word(h)
     sg = sliding_circuit_set(gm, g)
     sh = sliding_circuit_set(gm, h)
     common = sg.keys() & sh.keys()

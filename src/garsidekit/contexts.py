@@ -147,12 +147,16 @@ class PresentedContext(CategoryContext):
         return rev.reverse(self.complement, w, fuel or self._fuel(len(w)))
 
     def right_lcm(self, u: Word, v: Word):
-        """u * (u\\v), least common right-multiple when complete."""
+        """
+        u * (u\\v), least common right-multiple when complete.  A stuck
+        reversing proves there is no common multiple only when the
+        complement is complete; otherwise the answer is INCONCLUSIVE.
+        """
         if self.complement is None:
             raise GarsideError("context has no complement")
         r = rev.reverse_word_pair(self.complement, u, v, self._fuel(len(u) + len(v)))
         if isinstance(r, rev.Stuck):
-            return rev.NoCommonMultiple((u, v))
+            return rev.NoCommonMultiple((u, v)) if self.complete else INCONCLUSIVE
         if isinstance(r, rev.Diverged):
             return INCONCLUSIVE
         return Word(u.letters + r.pos.letters, u.source, r.pos.target)
@@ -168,12 +172,3 @@ class PresentedContext(CategoryContext):
         if not self.complete:
             return INCONCLUSIVE
         return False
-
-
-def right_lcm(ctx, u: Word, v: Word):
-    """Module-level convenience mirroring the context method."""
-    return ctx.right_lcm(u, v)
-
-
-def word_equal_via_reversing(ctx, u: Word, v: Word):
-    return ctx.word_equal_via_reversing(u, v)

@@ -53,9 +53,11 @@ class Generator:
             raise GarsideError(f"bad generator name {self.name!r}")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Word:
     """A path in the free category: generator ids plus endpoints."""
+
+    # slots: contexts keep many words in lazy tables and memos
 
     letters: tuple[int, ...]
     source: int
@@ -69,7 +71,7 @@ class Word:
         return not self.letters
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SignedWord:
     """A path in the free groupoid: (generator id, sign) pairs plus endpoints."""
 
@@ -406,7 +408,7 @@ class CategoryContext:
 
 def _true(value) -> bool:
     if value is INCONCLUSIVE:
-        raise UnsupportedError("equality search inconclusive")
+        raise UnsupportedError("oracle inconclusive")
     return bool(value)
 
 

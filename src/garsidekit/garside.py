@@ -26,6 +26,7 @@ from .core import (
     SignedWord,
     Word,
     concat,
+    _true,
     mirror_signed,
     mirror_word,
 )
@@ -410,12 +411,6 @@ def symmetric_normalize(
                 stripped = True
                 break
     return SymmetricNormal(family.normalize(d), family.normalize(n))
-
-
-def _true(value) -> bool:
-    if value is INCONCLUSIVE:
-        raise UnsupportedError("oracle inconclusive")
-    return bool(value)
 
 
 __all__ = [

@@ -372,7 +372,9 @@ class GermStructure:
         )
         self._head = witness.head
         self._head_memo: dict[tuple[int, int], int] = {}
-        self._op: GermStructure | None = None
+        self._is_identity = [False] * germ.size
+        for e in germ.identities:
+            self._is_identity[e] = True
 
     # -- divisibility --------------------------------------------------------
 
@@ -441,38 +443,28 @@ class GermStructure:
         greatest movable divisor of the right factor into the left one.
         Terminates because each move strictly grows the left factor.
         """
-        g = self.germ
-        factors = [x for x in seq if not g.is_identity(x)]
+        is_id = self._is_identity
+        head = self._head
+        prod = self.prod
+        left_quot = self.left_quot
+        factors = [x for x in seq if not is_id[x]]
+        last = len(factors) - 1
         i = 0
-        while i < len(factors) - 1:
+        while i < last:
             s, t = factors[i], factors[i + 1]
-            h = self.head_of_pair(s, t)
-            if g.is_identity(h):
+            h = head[(s, t)] if head is not None else self.head_of_pair(s, t)
+            if is_id[h]:
                 i += 1
                 continue
-            factors[i] = self.prod[(s, h)]
-            t2 = self.quot(h, t)
-            if g.is_identity(t2):
+            factors[i] = prod[(s, h)]
+            if h == t:
                 del factors[i + 1]
+                last -= 1
             else:
-                factors[i + 1] = t2
-            i = max(0, i - 1)
+                factors[i + 1] = left_quot[(h, t)]
+            if i:
+                i -= 1
         return tuple(factors)
-
-    def opposite(self) -> "GermStructure":
-        """The mirror germ (product reversed); used for left divisibility."""
-        if self._op is None:
-            g = self.germ
-            elems = tuple(
-                GermElement(e.id, e.name, e.target, e.source) for e in g.elements
-            )
-            prod = {(s, r): t for (r, s), t in g.product.items()}
-            opg = Germ(g.objects, elems, g.identities, prod, g.lengths)
-            w = is_garside_germ(opg)
-            if not w.is_garside:
-                raise GarsideError("opposite germ is not Garside: " + w.reason)
-            self._op = GermStructure(opg, w)
-        return self._op
 
 
 class _LazyGermComplement:

@@ -27,7 +27,7 @@ import dataclasses
 import re
 
 from . import reversing as rev
-from .bounded import GarsideMap, Unbounded, build_garside_map
+from .bounded import GarsideMap, Unbounded, _enumerate_divisors, build_garside_map
 from .config import DEFAULT_LIMITS, Limits
 from .contexts import PresentedContext
 from .core import (
@@ -36,8 +36,7 @@ from .core import (
     ObjectId,
     Presentation,
     Word,
-    concat,
-    empty_word,
+    _true,
 )
 from .errors import INCONCLUSIVE, ParseError, UnsupportedError, ValidationError
 from .garside import GarsideFamily
@@ -436,42 +435,6 @@ class Loaded:
     unbounded: Unbounded | None = None
 
 
-def _divisor_words(ctx: PresentedContext, delta: Word, bound: int) -> list[Word]:
-    """Left divisors of delta by letter-extension search."""
-    found: list[Word] = [empty_word(delta.source)]
-    frontier = [found[0]]
-    gens = [ctx.presentation.word([g.id]) for g in ctx.presentation.generators]
-    while frontier:
-        nxt: list[Word] = []
-        for w in frontier:
-            for g in gens:
-                if g.source != w.target:
-                    continue
-                cand = concat(w, g)
-                d = ctx.left_divides(cand, delta)
-                if d is INCONCLUSIVE:
-                    raise UnsupportedError("divisibility search inconclusive")
-                if not d:
-                    continue
-                if any(_eq(ctx, cand, f) for f in found):
-                    continue
-                found.append(cand)
-                nxt.append(cand)
-                if len(found) > bound:
-                    raise UnsupportedError(
-                        "divisor enumeration exceeded the configured bound"
-                    )
-        frontier = nxt
-    return found
-
-
-def _eq(ctx, u, v) -> bool:
-    r = ctx.equal(u, v)
-    if r is INCONCLUSIVE:
-        raise UnsupportedError("equality oracle inconclusive")
-    return bool(r)
-
-
 def _auto_family(ctx: PresentedContext, bound: int) -> GarsideFamily:
     """
     Smallest candidate closed under right-lcm and right divisors, grown from
@@ -491,7 +454,7 @@ def _auto_family(ctx: PresentedContext, bound: int) -> GarsideFamily:
                     continue
                 if z is INCONCLUSIVE:
                     raise UnsupportedError("right-lcm search inconclusive")
-                if not any(_eq(ctx, z, f) for f in members):
+                if not any(_true(ctx.equal(z, f)) for f in members):
                     members.append(z)
                     changed = True
         # close under right divisors via atom quotients
@@ -504,7 +467,7 @@ def _auto_family(ctx: PresentedContext, bound: int) -> GarsideFamily:
                     raise UnsupportedError("quotient search inconclusive")
                 if q is None or q.is_empty:
                     continue
-                if not any(_eq(ctx, q, f) for f in members):
+                if not any(_true(ctx.equal(q, f)) for f in members):
                     members.append(q)
                     changed = True
         if len(members) > bound:
@@ -526,7 +489,9 @@ def build_structure(doc: StructureDoc, limits: Limits = DEFAULT_LIMITS) -> Loade
             family = GarsideFamily(ctx, words)
         elif doc.garside[0] == "delta":
             delta = pres.parse_word(" ".join(doc.garside[1]))
-            divisors = _divisor_words(ctx, delta, limits.divisor_search_bound)
+            divisors = _enumerate_divisors(ctx, delta, delta.source)
+            if isinstance(divisors, Unbounded):
+                raise UnsupportedError(divisors.reason)
             family = GarsideFamily(ctx, divisors)
         else:
             family = _auto_family(ctx, limits.family_search_bound)

@@ -24,6 +24,7 @@ class RewriteSystem:
     def __init__(self, p: Presentation, limits: Limits):
         self.presentation = p
         self.limits = limits
+        self.homogeneous = p.homogeneous
         self.rules: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         for lhs, rhs in p.relations:
             self.rules.append((lhs.letters, rhs.letters))
@@ -42,16 +43,19 @@ class RewriteSystem:
         """
         (words, complete): all words reachable from w within `depth` relation
         applications.  complete=True means the whole congruence class was
-        enumerated (frontier emptied before any budget was hit).
+        enumerated (frontier emptied before any budget was hit).  Homogeneous
+        classes are finite, so there only the state budget applies.
         """
-        if depth is None:
+        if self.homogeneous:
+            depth = None
+        elif depth is None:
             depth = len(w) + self.limits.rewrite_slack
         seen = {w.letters}
         frontier = deque([(w.letters, 0)])
         complete = True
         while frontier:
             current, d = frontier.popleft()
-            if d >= depth:
+            if depth is not None and d >= depth:
                 complete = False
                 continue
             for nxt in self.neighbours(current):

@@ -1,11 +1,18 @@
 """
 Independent reference implementations used to cross-check the library.
 
-Everything here works on plain strings (one character per generator) and
-explicit relation lists; nothing imports the package under test.  The
-closure routines require homogeneous relations (equal-length sides), which
-holds for every corpus they are applied to, and compute full congruence
-classes at fixed length by exhaustive rewriting, so answers are exact.
+Everything here but the last section works on plain strings (one character
+per generator) and explicit relation lists and imports nothing from the
+package under test.  The closure routines require homogeneous relations
+(equal-length sides), which holds for every corpus they are applied to, and
+compute full congruence classes at fixed length by exhaustive rewriting, so
+answers are exact.
+
+The last section is the word-level sliding-circuit BFS that
+`garsidekit.conjugacy` used before it moved to factor tables.  It goes
+through words, `GarsideMap.phi`, context left quotients and the signed
+`delta_normalize` for every slide and candidate, and serves as the
+reference the index-level engine is compared against.
 """
 
 from __future__ import annotations
@@ -270,3 +277,81 @@ def catalan(n: int) -> int:
     for i in range(n):
         out = out * (2 * n - i) // (i + 1)
     return out // (n + 1)
+
+
+# --- word-level sliding circuits ------------------------------------------
+
+
+def _word_slide(gm, d):
+    """One cyclic slide of a Δ-normal form, rebuilt through words."""
+    from garsidekit.bounded import DeltaNormal
+    from garsidekit.core import concat
+
+    if not d.factors:
+        return d
+    elements = gm.family.elements
+    x1 = elements[d.factors[0]]
+    f1 = gm.family.index(gm.phi(x1, -d.m))
+    f2 = gm.family.index(gm.complement(elements[d.factors[-1]]))
+    p = None if f2 is None else gm.meet(f1, f2)
+    if p is None:
+        return d
+    w = gm.ctx.left_quotient(gm.phi(elements[p], d.m), x1)
+    for i in d.factors[1:] + (p,):
+        w = concat(w, elements[i])
+    factors = gm.family.normalize(w).factors
+    lead = 0
+    while lead < len(factors) and gm.compl[factors[lead]] is None:
+        lead += 1
+    return DeltaNormal(gm, d.m + lead, factors[lead:], d.source, d.target)
+
+
+def word_sliding_circuits(gm, g):
+    """
+    (keys, edges) of the sliding-circuit set of the signed word g: slide to
+    a circuit, then conjugate every node by every nontrivial divisor of Δ as
+    a signed word, Δ-normalize, re-slide, and keep the extremal layer.
+    """
+    from garsidekit.bounded import delta_normalize
+    from garsidekit.core import concat_signed, free_reduce, signed_from_word
+
+    def key(d):
+        return (d.m, d.factors)
+
+    def to_circuit(d):
+        seen = set()
+        while key(d) not in seen:
+            seen.add(key(d))
+            d = _word_slide(gm, d)
+        return d
+
+    edges = {}
+    nodes = {}
+
+    def add_circuit(d):
+        added = []
+        while key(d) not in nodes:
+            nxt = _word_slide(gm, d)
+            nodes[key(d)] = d
+            edges[key(d)] = key(nxt)
+            added.append(key(d))
+            d = nxt
+        return added
+
+    limit = to_circuit(delta_normalize(gm, g))
+    bounds = (limit.inf, limit.sup)
+    frontier = add_circuit(limit)
+    while frontier:
+        nxt_frontier = []
+        for k in sorted(frontier):
+            node = nodes[k]
+            for s in gm.divisors.get(node.source, ()):
+                sw = signed_from_word(gm.family.elements[s])
+                cand = free_reduce(
+                    concat_signed(concat_signed(sw.inverse(), node.signed_word()), sw)
+                )
+                lim = to_circuit(delta_normalize(gm, cand))
+                if (lim.inf, lim.sup) == bounds and key(lim) not in nodes:
+                    nxt_frontier.extend(add_circuit(lim))
+        frontier = nxt_frontier
+    return set(nodes), edges

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from garsidekit.conjugacy import (
     sliding_circuit_set,
 )
 from garsidekit.contexts import PresentedContext
+from garsidekit.core import SignedWord
 from garsidekit.errors import ExplosionGuard
 from garsidekit.garside import GarsideFamily
 
@@ -298,3 +300,35 @@ def test_node_budget_guard():
     gm = build_garside_map(ctx, fam)
     with pytest.raises(ExplosionGuard):
         sliding_circuit_set(gm, ctx.parse("a"))
+
+
+# --- factor-table engine against the word-level oracle ----------------------------
+
+
+def _random_reduced_words(ctx, rng, count, max_len):
+    """Freely reduced signed words over the generators of a monoid."""
+    assert ctx.presentation.is_monoid
+    n = len(ctx.presentation.generators)
+    out = []
+    for _ in range(count):
+        letters = []
+        length = rng.randint(1, max_len)
+        while len(letters) < length:
+            letter = (rng.randrange(n), rng.choice((1, -1)))
+            if not letters or letters[-1] != (letter[0], -letter[1]):
+                letters.append(letter)
+        out.append(SignedWord(tuple(letters), 0, 0))
+    return out
+
+
+@pytest.mark.parametrize(
+    "key", ["braid:3", "braid:4", "dual_braid:4", "artin:B3", "artin:G2", "b3_gm"]
+)
+def test_sliding_circuits_match_word_level_oracle(key, entry, b3_gm):
+    gm = b3_gm if key == "b3_gm" else entry(key).garside_map
+    rng = random.Random(f"sliding-circuits:{key}")
+    for g in _random_reduced_words(gm.ctx, rng, 20, 6):
+        scs = sliding_circuit_set(gm, g)
+        keys, edges = oracles.word_sliding_circuits(gm, g)
+        assert scs.keys() == keys, gm.ctx.presentation.display_signed(g)
+        assert scs.edges == edges, gm.ctx.presentation.display_signed(g)

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from garsidekit.core import Word, empty_word
+from garsidekit.errors import INCONCLUSIVE
 from garsidekit.reversing import (
     Complement,
     NoCommonMultiple,
@@ -262,6 +263,15 @@ def test_no_common_multiple_in_free_monoid():
     ctx = PresentedContext(monoid_presentation("ab", []))
     got = ctx.right_lcm(ctx.parse("a"), ctx.parse("b"))
     assert isinstance(got, NoCommonMultiple)
+
+
+def test_stuck_lcm_is_inconclusive_without_completeness():
+    from garsidekit.contexts import PresentedContext
+
+    # dual braid monoid of rank 3: a·b = c·a, so a and c have a common multiple
+    ctx = PresentedContext(monoid_presentation("abc", [("ab", "bc"), ("bc", "ca")]))
+    assert not ctx.complete
+    assert ctx.right_lcm(ctx.parse("a"), ctx.parse("c")) is INCONCLUSIVE
 
 
 def test_word_equal_via_reversing_fixtures(b3_ctx):

@@ -96,3 +96,15 @@ def test_klein_depth_limited_equal_agrees_with_value_map():
             if verdict is INCONCLUSIVE:
                 continue
             assert verdict is oracles.klein_equal(s, t), (s, t)
+
+
+def test_homogeneous_closure_is_not_depth_capped():
+    # dual braid monoid of rank 3; these classes need more rewriting steps
+    # than word length + slack, but are finite because the relations are
+    # length-preserving
+    rels = (("ab", "bc"), ("bc", "ca"))
+    ctx = PresentedContext(monoid_presentation("abc", list(rels)))
+    assert ctx.equal(ctx.parse("aaaaaaba"), ctx.parse("aaaaaaaa")) is False
+    assert not oracles.equal_words("aaaaaaba", "aaaaaaaa", rels)
+    assert ctx.left_divides(ctx.parse("cc"), ctx.parse("aaaaaaaba")) is True
+    assert oracles.left_divides("cc", "aaaaaaaba", rels)
