@@ -52,8 +52,12 @@ class GarsideFamily:
             if any(_true(ctx.equal(w, prev)) for prev in self.elements):
                 continue
             self.elements.append(w)
+        # Memos keyed by letters, for words of at most twice the longest
+        # element: the junction products `left_multiply_normal` repeats.
+        # Longer words are rarely seen twice and would grow them with use.
         self._index_memo: dict[tuple[int, ...], int | None] = {}
         self._head_memo: dict[tuple[int, ...], int | None] = {}
+        self._memo_len = 2 * max((len(w) for w in self.elements), default=0)
         self._div_matrix: list[list[bool]] | None = None
         # germ fast path: family is exactly the germ's nontrivial elements
         self._germ: GermContext | None = None
@@ -74,8 +78,9 @@ class GarsideFamily:
         if w.is_empty:
             return None
         key = w.letters
-        if key in self._index_memo:
-            return self._index_memo[key]
+        memo = self._index_memo if len(key) <= self._memo_len else {}
+        if key in memo:
+            return memo[key]
         found: int | None = None
         if self._germ is not None:
             factors = self._germ.normal_factors(w)
@@ -86,7 +91,7 @@ class GarsideFamily:
                 if _true(self.ctx.equal(e, w)):
                     found = i
                     break
-        self._index_memo[key] = found
+        memo[key] = found
         return found
 
     def _divides(self, i: int, j: int) -> bool:
@@ -111,12 +116,13 @@ class GarsideFamily:
         which doubles as a runtime Garside-family check.
         """
         key = w.letters
-        if key in self._head_memo:
-            return self._head_memo[key]
+        memo = self._head_memo if len(key) <= self._memo_len else {}
+        if key in memo:
+            return memo[key]
         if self._germ is not None:
             factors = self._germ.normal_factors(w)
             out = self._germ.gen_of_elem[factors[0]] if factors else None
-            self._head_memo[key] = out
+            memo[key] = out
             return out
         divisors = [
             i
@@ -124,7 +130,7 @@ class GarsideFamily:
             if _true(self.ctx.left_divides(e, w))
         ]
         if not divisors:
-            self._head_memo[key] = None
+            memo[key] = None
             return None
         greatest = None
         for i in divisors:
@@ -141,7 +147,7 @@ class GarsideFamily:
                 "incomparable maximal divisors: "
                 + ", ".join(self.ctx.show(self.elements[i]) for i in maximals[:4])
             )
-        self._head_memo[key] = greatest
+        memo[key] = greatest
         return greatest
 
     # -- greediness and normalization ------------------------------------------

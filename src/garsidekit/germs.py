@@ -371,7 +371,8 @@ class GermStructure:
             for (r, s), t in germ.product.items()
         )
         self._head = witness.head
-        self._head_memo: dict[tuple[int, int], int] = {}
+        self._size = germ.size
+        self._head_memo: dict[int, int] = {}  # s*size + t -> head
         self._is_identity = [False] * germ.size
         for e in germ.identities:
             self._is_identity[e] = True
@@ -426,7 +427,7 @@ class GermStructure:
         """Greatest x with s.x defined and x dividing t."""
         if self._head is not None:
             return self._head[(s, t)]
-        key = (s, t)
+        key = s * self._size + t
         cached = self._head_memo.get(key)
         if cached is None:
             m = self.masks
@@ -471,42 +472,28 @@ class _LazyGermComplement:
     """
     Duck-typed stand-in for a reversing complement whose entries are germ
     quotients into joins, computed on demand: t\\s = t-quotient of join(t,s).
+    The only cache is `push`, which the reversing kernel fills.
     """
 
     def __init__(self, ctx: "GermContext"):
         self.presentation = ctx.presentation
-        self.table: dict[tuple[int, int], Word] = {}
+        self.n = len(ctx.elem_of_gen)
+        self.push: dict[int, tuple[int, ...]] = {}
         self._ctx = ctx
-        self._missing: set[tuple[int, int]] = set()
 
     def entry(self, t: int, s: int) -> Word | None:
-        if t == s:
-            return empty_word(self.presentation.generators[t].target)
-        key = (t, s)
-        if key in self._missing:
-            return None
-        w = self.table.get(key)
-        if w is None:
-            w = self._compute(t, s)
-            if w is None:
-                self._missing.add(key)
-                return None
-            self.table[key] = w
-        return w
-
-    def _compute(self, t: int, s: int) -> Word | None:
+        """t\\s as a word, or None when t and s have no join."""
         ctx = self._ctx
+        target = self.presentation.generators[t].target
+        if t == s:
+            return empty_word(target)
         et, es = ctx.elem_of_gen[t], ctx.elem_of_gen[s]
         if ctx.germ.elements[et].source != ctx.germ.elements[es].source:
             return None
         j = ctx.structure.join(et, es)
         if j is None:
             return None
-        q = ctx.structure.quot(et, j)
-        return ctx.word_of([q], source=ctx.germ.elements[et].target)
-
-    def defined_pairs(self) -> set[tuple[int, int]]:
-        return set(self.table.keys())
+        return ctx.word_of([ctx.structure.quot(et, j)], source=target)
 
 
 class GermContext(CategoryContext):

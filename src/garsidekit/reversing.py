@@ -20,6 +20,23 @@ enumerate generated words up to the requested length.
 
 Each elementary replacement is one grid cell; a fuel budget bounds the cell
 count and exhaustion is reported as Diverged, never as a wrong answer.
+
+The kernel is a two-stack scan over int letters: generator g reads as g,
+its inverse as ~g.  The left stack holds the scanned prefix, which never
+contains a -+ pattern, so it has the shape pos* neg*; the right stack holds
+the unread suffix, next letter on top.  A positive letter s meeting a
+negative top ~t on the left is one cell: ~t is popped and the cell's "push"
+tuple, the letters of (s\\t)^-1 followed by t\\s reversed, goes onto the right
+stack, so t\\s is read next.  This reduces the leftmost -+ pattern first,
+the order in which cells are counted, checked against the fuel and listed
+in the grid.  Push tuples live in a dict keyed by t*n + s (n generators)
+that the complement owns: a presentation's Complement compiles every
+defined entry up front, the germ complement starts empty.  On a miss the
+scan reads the two entries through `entry` and stores their push tuple;
+an undefined entry stops the scan Stuck.
+
+The ReversingGrid of a result knows its cell count; its cells are built
+only when read, by replaying the scan with a cell log.
 """
 
 from __future__ import annotations
@@ -32,17 +49,42 @@ from .core import Presentation, SignedWord, Word, empty_word
 from .errors import GarsideError
 
 
+def _fill(comp, t: int, s: int) -> tuple[int, ...] | None:
+    """
+    Push tuple of the cell (t, s), read through `comp.entry`: the letters of
+    (s\\t)^-1, then t\\s reversed.  None when an entry is undefined.
+    """
+    ts, st = comp.entry(t, s), comp.entry(s, t)
+    if ts is None or st is None:
+        return None
+    return tuple(~g for g in st.letters) + ts.letters[::-1]
+
+
 @dataclasses.dataclass(frozen=True)
 class Complement:
     """
     Partial map (s, t) -> s\\t on generator pairs with common source.  The
     diagonal (s, s) -> empty is implicit and always defined.  Entries come in
     pairs: (s, t) is defined iff (t, s) is, and s*(s\\t) == t*(t\\s) is the
-    relation they encode.
+    relation they encode.  `push` is the kernel's compiled table.
     """
 
     presentation: Presentation
     table: dict[tuple[int, int], Word]
+    n: int = dataclasses.field(init=False, repr=False, compare=False)
+    push: dict[int, tuple[int, ...]] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        n = len(self.presentation.generators)
+        push = {}
+        for t, s in [(t, t) for t in range(n)] + list(self.table):
+            p = _fill(self, t, s)
+            if p is not None:
+                push[t * n + s] = p
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "push", push)
 
     def entry(self, t: int, s: int) -> Word | None:
         """t\\s, with the implicit diagonal; None when undefined."""
@@ -63,23 +105,42 @@ class ReversingCell:
     emitted_neg: Word   # pos \ neg
 
 
-@dataclasses.dataclass(frozen=True)
 class ReversingGrid:
-    input: SignedWord
-    pos: Word
-    neg: Word
-    cells: tuple[ReversingCell, ...]
+    """
+    The cells of a finished reversing, in the order the scan reduced them.
+    `cell_count` is known up front; `cells` replays the scan once, on first
+    read.
+    """
+
+    __slots__ = ("input", "pos", "neg", "cell_count", "_complement", "_cells")
+
+    def __init__(
+        self, input: SignedWord, pos: Word, neg: Word, cell_count: int, complement
+    ):
+        self.input = input
+        self.pos = pos
+        self.neg = neg
+        self.cell_count = cell_count
+        self._complement = complement
+        self._cells: tuple[ReversingCell, ...] | None = None
 
     @property
-    def cell_count(self) -> int:
-        return len(self.cells)
+    def cells(self) -> tuple[ReversingCell, ...]:
+        if self._cells is None:
+            comp = self._complement
+            log: list[tuple[int, int]] = []
+            _scan(comp, _int_letters(self.input), self.cell_count, log)
+            self._cells = tuple(
+                ReversingCell(t, s, comp.entry(t, s), comp.entry(s, t)) for t, s in log
+            )
+        return self._cells
 
 
 @dataclasses.dataclass(frozen=True)
 class Reversed:
     pos: Word
     neg: Word
-    grid: ReversingGrid
+    grid: ReversingGrid = dataclasses.field(compare=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,60 +205,70 @@ def extract_complement(p: Presentation) -> Complement | NotComplemented:
     return Complement(p, table)
 
 
+def _int_letters(w: SignedWord) -> list[int]:
+    """The right stack of w: int letters, first letter on top."""
+    return [g if e > 0 else ~g for g, e in reversed(w.letters)]
+
+
+def _scan(comp, right: list[int], fuel: int, log: list | None = None):
+    """
+    The reversing kernel.  Consumes `right`; returns the left stack
+    (pos* neg*) and the cell count, or Stuck / Diverged.  With a `log`,
+    appends each cell's (t, s) to it.
+    """
+    push = comp.push
+    n = comp.n
+    left: list[int] = []
+    cells = 0
+    while right:
+        s = right.pop()
+        if s < 0 or not left or left[-1] >= 0:
+            left.append(s)
+            continue
+        t = ~left.pop()
+        k = t * n + s
+        try:
+            p = push[k]
+        except KeyError:
+            p = _fill(comp, t, s)
+            if p is None:
+                return Stuck((t, s))
+            push[k] = p
+        if cells >= fuel:
+            return Diverged(cells)
+        cells += 1
+        if log is not None:
+            log.append((t, s))
+        right += p
+    return left, cells
+
+
 def reverse(comp: Complement, w: SignedWord, fuel: int) -> Reversed | Stuck | Diverged:
     """
     Right-reverse w until no negative-positive pattern remains.  The result
     reads off as pos * neg^-1.
     """
-    letters: list[tuple[int, int]] = list(w.letters)
-    cells: list[ReversingCell] = []
-    p = comp.presentation
-    i = 0
-    while True:
-        # find the next -+ adjacency at or after i
-        while i < len(letters) - 1 and not (letters[i][1] < 0 and letters[i + 1][1] > 0):
-            i += 1
-        if i >= len(letters) - 1:
-            break
-        t, s = letters[i][0], letters[i + 1][0]
-        ts = comp.entry(t, s)
-        st = comp.entry(s, t)
-        if ts is None or st is None:
-            return Stuck((t, s))
-        if len(cells) >= fuel:
-            return Diverged(len(cells))
-        cells.append(ReversingCell(t, s, ts, st))
-        replacement = [(g, +1) for g in ts.letters]
-        replacement += [(g, -1) for g in reversed(st.letters)]
-        letters[i : i + 2] = replacement
-        # a new -+ pattern may have appeared one slot to the left
-        i = max(0, i - 1)
-
-    # split: all positives precede all negatives now
-    split = len(letters)
-    for k, (_, e) in enumerate(letters):
-        if e < 0:
-            split = k
-            break
-    pos_ids = tuple(g for g, _ in letters[:split])
-    neg_ids_reversed = tuple(g for g, _ in reversed(letters[split:]))
-    mid = w.source
-    if pos_ids:
-        mid = p.generators[pos_ids[-1]].target
+    out = _scan(comp, _int_letters(w), fuel)
+    if type(out) is not tuple:
+        return out
+    left, cells = out
+    split = len(left)
+    while split and left[split - 1] < 0:
+        split -= 1
+    pos_ids = tuple(left[:split])
+    neg_ids = tuple(~x for x in reversed(left[split:]))
+    mid = comp.presentation.generators[pos_ids[-1]].target if pos_ids else w.source
     pos = Word(pos_ids, w.source, mid)
-    neg = Word(neg_ids_reversed, w.target, mid)
-    grid = ReversingGrid(w, pos, neg, tuple(cells))
-    return Reversed(pos, neg, grid)
+    neg = Word(neg_ids, w.target, mid)
+    return Reversed(pos, neg, ReversingGrid(w, pos, neg, cells, comp))
 
 
 def reverse_word_pair(comp: Complement, u: Word, v: Word, fuel: int):
     """Reverse u^-1 v; convenience wrapper building the signed input."""
     if u.source != v.source:
         raise GarsideError("words must share their source")
-    letters = tuple((g, -1) for g in reversed(u.letters)) + tuple(
-        (g, +1) for g in v.letters
-    )
-    return reverse(comp, SignedWord(letters, u.target, v.target), fuel)
+    letters = [(g, -1) for g in reversed(u.letters)] + [(g, +1) for g in v.letters]
+    return reverse(comp, SignedWord(tuple(letters), u.target, v.target), fuel)
 
 
 def word_complement(comp: Complement, u: Word, v: Word, fuel: int):

@@ -8,11 +8,14 @@ package under test.  The closure routines require homogeneous relations
 compute full congruence classes at fixed length by exhaustive rewriting, so
 answers are exact.
 
-The last section is the word-level sliding-circuit BFS that
-`garsidekit.conjugacy` used before it moved to factor tables.  It goes
-through words, `GarsideMap.phi`, context left quotients and the signed
-`delta_normalize` for every slide and candidate, and serves as the
-reference the index-level engine is compared against.
+The last two sections import the package.  One is the word-level
+sliding-circuit BFS that `garsidekit.conjugacy` used before it moved to
+factor tables.  It goes through words, `GarsideMap.phi`, context left
+quotients and the signed `delta_normalize` for every slide and candidate,
+and serves as the reference the index-level engine is compared against.
+The other is the list-splice reversing that `garsidekit.reversing.reverse`
+used before its two-stack scan: it reads every cell through
+`Complement.entry` and serves as the reference for results and grids.
 """
 
 from __future__ import annotations
@@ -355,3 +358,48 @@ def word_sliding_circuits(gm, g):
                     nxt_frontier.extend(add_circuit(lim))
         frontier = nxt_frontier
     return set(nodes), edges
+
+
+# --- list-splice reversing ------------------------------------------------
+
+
+def splice_reverse(comp, w, fuel):
+    """
+    Right-reverse the signed word w by splicing each cell's output into a
+    letter list, leftmost -+ pattern first.  Returns (pos, neg, cells) with
+    cells a tuple of ReversingCell, or the Stuck / Diverged failure.
+    """
+    from garsidekit.core import Word
+    from garsidekit.reversing import Diverged, ReversingCell, Stuck
+
+    letters = list(w.letters)
+    cells = []
+    i = 0
+    while True:
+        while i < len(letters) - 1 and not (letters[i][1] < 0 and letters[i + 1][1] > 0):
+            i += 1
+        if i >= len(letters) - 1:
+            break
+        t, s = letters[i][0], letters[i + 1][0]
+        ts = comp.entry(t, s)
+        st = comp.entry(s, t)
+        if ts is None or st is None:
+            return Stuck((t, s))
+        if len(cells) >= fuel:
+            return Diverged(len(cells))
+        cells.append(ReversingCell(t, s, ts, st))
+        replacement = [(g, +1) for g in ts.letters]
+        replacement += [(g, -1) for g in reversed(st.letters)]
+        letters[i : i + 2] = replacement
+        i = max(0, i - 1)
+    split = len(letters)
+    for k, (_, e) in enumerate(letters):
+        if e < 0:
+            split = k
+            break
+    pos_ids = tuple(g for g, _ in letters[:split])
+    neg_ids = tuple(g for g, _ in reversed(letters[split:]))
+    mid = w.source
+    if pos_ids:
+        mid = comp.presentation.generators[pos_ids[-1]].target
+    return Word(pos_ids, w.source, mid), Word(neg_ids, w.target, mid), tuple(cells)

@@ -169,6 +169,23 @@ def test_domino_agrees_with_batch_normalize(entry, key):
         assert via_domino.factors == batch.factors
 
 
+def test_memos_stay_bounded_over_long_words(b4_ctx, b4_family):
+    """Long words are not memoised, so the memos stop growing with use."""
+    fam = GarsideFamily(b4_ctx, b4_family.elements)
+    bound = 2 * max(len(e) for e in fam.elements)
+    rng = random.Random(20261018)
+    seen = set()
+    while len(seen) < 200:
+        seen.add("".join(rng.choice("abc") for _ in range(40)))
+    for text in sorted(seen):
+        nd = fam.normalize(b4_ctx.parse(text))
+        fam.left_multiply_normal(fam.elements[rng.randrange(len(fam))], nd)
+    for memo in (fam._head_memo, fam._index_memo):
+        assert memo
+        assert max(len(k) for k in memo) <= bound
+        assert len(memo) <= sum(3**k for k in range(bound + 1))
+
+
 # --- is_garside_family ------------------------------------------------------------
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from garsidekit.core import Word, empty_word
+from garsidekit import reversing
+from garsidekit.config import DEFAULT_LIMITS
+from garsidekit.core import SignedWord, Word, empty_word
 from garsidekit.errors import INCONCLUSIVE
 from garsidekit.reversing import (
     Complement,
@@ -181,6 +184,98 @@ def test_grid_cell_count_stays_under_fuel(b3_comp):
             )
             assert isinstance(out, Reversed)
             assert out.grid.cell_count <= fuel_for(u, v)
+
+
+# --- two-stack kernel against the list-splice oracle -------------------------
+
+
+def _presented_complement(letters, rels):
+    comp = extract_complement(monoid_presentation(letters, rels))
+    assert isinstance(comp, Complement)
+    return comp
+
+
+KERNEL_CORPORA = {
+    "B3": lambda entry: _presented_complement("ab", [("aba", "bab")]),
+    "B4": lambda entry: _presented_complement(
+        "abc", [("aba", "bab"), ("bcb", "cbc"), ("ac", "ca")]
+    ),
+    "N3": lambda entry: _presented_complement(
+        "xyz", [("xy", "yx"), ("xz", "zx"), ("yz", "zy")]
+    ),
+    # dual braid of rank 3 read off as a presentation: incomplete, hits Stuck
+    "D3": lambda entry: _presented_complement("abc", [("ab", "bc"), ("bc", "ca")]),
+    "braid:3": lambda entry: entry("braid:3").context.germ_complement(),
+    "braid:4": lambda entry: entry("braid:4").context.germ_complement(),
+    "dual_braid:4": lambda entry: entry("dual_braid:4").context.germ_complement(),
+    "artin:B3": lambda entry: entry("artin:B3").context.germ_complement(),
+}
+
+
+def _same_as_oracle(comp, w, fuel):
+    got = reverse(comp, w, fuel)
+    want = oracles.splice_reverse(comp, w, fuel)
+    if not isinstance(want, tuple):
+        assert got == want
+        return type(want).__name__
+    pos, neg, cells = want
+    assert isinstance(got, Reversed)
+    assert (got.pos, got.neg) == (pos, neg)
+    assert got.grid.cell_count == len(cells)
+    assert got.grid.cells == cells
+    return "Reversed"
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CORPORA))
+def test_reverse_matches_splice_oracle(entry, name):
+    comp = KERNEL_CORPORA[name](entry)
+    n = len(comp.presentation.generators)
+    rng = random.Random(f"kernel:{name}")
+    kinds = set()
+    for _ in range(90):
+        length = rng.randint(1, 20)
+        letters = tuple(
+            (rng.randrange(n), rng.choice((-1, 1))) for _ in range(length)
+        )
+        w = SignedWord(letters, 0, 0)
+        for fuel in (1, 3, 10, DEFAULT_LIMITS.fuel(length)):
+            kinds.add(_same_as_oracle(comp, w, fuel))
+    assert {"Reversed", "Diverged"} <= kinds
+    if name == "D3":
+        assert "Stuck" in kinds
+
+
+def test_grid_cells_built_on_demand(b3_comp, monkeypatch):
+    pres = b3_comp.presentation
+    for u in oracles.words_up_to("ab", 3):
+        for v in oracles.words_up_to("ab", 3):
+            text = " ".join([f"{c}^-1" for c in reversed(u)] + list(v))
+            w = pres.parse_signed(text)
+            _, _, cells = oracles.splice_reverse(b3_comp, w, fuel_for(u, v))
+            out = reverse(b3_comp, w, fuel_for(u, v))
+            assert out.grid.cells == cells, text
+
+    scans = []
+    real_scan = reversing._scan
+
+    def counting_scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    w = pres.parse_signed("a^-1 a^-1 b b")
+    _, _, cells = oracles.splice_reverse(b3_comp, w, 1024)
+    monkeypatch.setattr(reversing, "_scan", counting_scan)
+    out = reverse(b3_comp, w, fuel=1024)
+    assert len(scans) == 1
+    assert out.grid.cell_count == len(cells) == 6
+    assert len(scans) == 1
+    first = out.grid.cells
+    assert first == cells and len(scans) == 2
+    assert out.grid.cells is first and len(scans) == 2
+    cell = first[0]
+    assert (cell.neg, cell.pos) == (0, 1)
+    assert pres.tokens(cell.emitted_pos) == "b a"
+    assert pres.tokens(cell.emitted_neg) == "a b"
 
 
 # --- cube condition ---------------------------------------------------------
