@@ -11,10 +11,12 @@ Keys, as accepted by `gk catalog`:
     artin:TYPE       A1..A4, B2, B3, G2, Atilde1
     klein                            <a, b | a = b a b>, presentation only
 
-Germ-backed entries certify their Garside structure through the germ
-recognizer at construction; the quadratic family check is additionally run
-whenever the germ is small enough to afford it.  Presentation-only entries
-(klein, artin:Atilde1) ship without family or map.
+Germ entries are validated and certified by the germ recognizer at
+construction, whatever their size.  A germ whose every I(s, t) has a
+greatest element is a Garside germ, and its elements form a Garside family
+of the category it generates (Foundations of Garside Theory, ch. VI), so
+no quadratic family check follows.  Presentation-only entries (klein,
+artin:Atilde1) ship without family or map.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .contexts import PresentedContext
 from .core import CategoryContext, Generator, ObjectId, Presentation, Word
 from .coxeter import check_coxeter_matrix, enumerate_coxeter
 from .errors import GarsideError, ValidationError
-from .garside import GarsideFamily, is_garside_family
+from .garside import GarsideFamily
 from .germs import (
     FiniteGroup,
     Germ,
@@ -46,10 +48,6 @@ from .permutations import (
 
 _ABELIAN_LETTERS = "xyzwuvst"
 _BRAID_LETTERS = "abcde"
-
-# family checks are honest but quadratic; skip them above this germ size
-# (the germ recognizer has already certified the structure)
-_FAMILY_CHECK_CAP = 200
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,10 +71,6 @@ def _germ_family(ctx: GermContext) -> GarsideFamily:
 def _wire_germ(key: str, germ: Germ, limits: Limits, notes: str) -> CatalogEntry:
     ctx = GermContext(germ, limits)
     family = _germ_family(ctx)
-    if germ.size <= _FAMILY_CHECK_CAP:
-        verdict = is_garside_family(ctx, family)
-        if not verdict.ok:
-            raise GarsideError(f"catalog entry {key}: {verdict.reason}")
     gm = build_garside_map(ctx, family)
     if isinstance(gm, Unbounded):
         raise GarsideError(f"catalog entry {key}: expected a bounded family")

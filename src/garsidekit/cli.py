@@ -30,7 +30,7 @@ from .conjugacy import Yes, are_conjugate, sliding_circuit_set
 from .contexts import PresentedContext
 from .errors import GarsideError, INCONCLUSIVE, ParseError, UnsupportedError
 from .garside import GarsideFamily, is_garside_family, word_problem
-from .germs import GermContext, Valid, is_garside_germ, validate_germ
+from .germs import GermContext, Valid, validate_germ
 from .io_formats import Loaded
 
 _LIMIT_FLAGS = (
@@ -174,10 +174,13 @@ def _run_check(args, limits: Limits) -> int:
             lines["validate"] = "FAIL"
             notes.append(f"validate: {e}")
         if germ is not None and lines["validate"] == "PASS":
-            w = is_garside_germ(germ)
-            if w.is_garside:
-                lines["is_garside_family"] = "PASS"
+            try:
                 ctx = GermContext(germ, limits, validate=False)
+            except GarsideError as e:
+                lines["is_garside_family"] = "FAIL"
+                notes.append(f"is_garside_family: {e}")
+            else:
+                lines["is_garside_family"] = "PASS"
                 family = GarsideFamily(
                     ctx,
                     [ctx.presentation.word([g.id]) for g in ctx.presentation.generators],
@@ -188,9 +191,6 @@ def _run_check(args, limits: Limits) -> int:
                     notes.append(f"build_garside_map: {built.reason}")
                 else:
                     lines["build_garside_map"] = "PASS"
-            else:
-                lines["is_garside_family"] = "FAIL"
-                notes.append(f"is_garside_family: {w.reason} at {w.data}")
         lines.setdefault("is_garside_family", "N/A")
         lines.setdefault("build_garside_map", "N/A")
         # germ contexts decide words through the product table, not through

@@ -45,13 +45,22 @@ class GarsideFamily:
 
     def __init__(self, ctx: CategoryContext, elements: Sequence[Word]):
         self.ctx = ctx
-        self.elements: list[Word] = []
-        for w in elements:
-            if w.is_empty:
-                continue  # identities are implicit members, never listed
-            if any(_true(ctx.equal(w, prev)) for prev in self.elements):
-                continue
-            self.elements.append(w)
+        listed = [w for w in elements if not w.is_empty]  # identities are implicit
+        # germ fast path: family is exactly the germ's nontrivial elements,
+        # in generator order, and those are distinct by construction
+        self._germ: GermContext | None = None
+        if (
+            isinstance(ctx, GermContext)
+            and len(listed) == len(ctx.elem_of_gen)
+            and all(w.letters == (i,) for i, w in enumerate(listed))
+        ):
+            self._germ = ctx
+            self.elements: list[Word] = listed
+        else:
+            self.elements = []
+            for w in listed:
+                if not any(_true(ctx.equal(w, prev)) for prev in self.elements):
+                    self.elements.append(w)
         # Memos keyed by letters, for words of at most twice the longest
         # element: the junction products `left_multiply_normal` repeats.
         # Longer words are rarely seen twice and would grow them with use.
@@ -59,16 +68,6 @@ class GarsideFamily:
         self._head_memo: dict[tuple[int, ...], int | None] = {}
         self._memo_len = 2 * max((len(w) for w in self.elements), default=0)
         self._div_matrix: list[list[bool]] | None = None
-        # germ fast path: family is exactly the germ's nontrivial elements
-        self._germ: GermContext | None = None
-        if isinstance(ctx, GermContext) and len(self.elements) == len(
-            ctx.elem_of_gen
-        ):
-            if all(
-                len(w.letters) == 1 and w.letters[0] == i
-                for i, w in enumerate(self.elements)
-            ):
-                self._germ = ctx
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -27,6 +27,8 @@ cubic and lets meets and joins run in constant time per pair.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -103,10 +105,16 @@ class Violation:
 
 def validate_germ(g: Germ) -> Valid | Violation:
     """
-    Check the germ axioms over all pairs/triples: identities are neutral and
-    total where composable, products respect endpoints, and associativity
-    holds in both mixed forms (if r.s and (r.s).t are defined then s.t and
-    r.(s.t) are defined and agree, and symmetrically).
+    Check the germ axioms: products respect endpoints, identities are
+    neutral on every element, and associativity holds in both mixed forms
+    (if r.s and (r.s).t are defined then s.t and r.(s.t) are defined and
+    agree, and symmetrically).
+
+    Associativity is checked over defined products only: each r.s = rs
+    meets every defined rs.t, and each s.t = st every defined r.st, so the
+    work follows the triples whose outer product is defined.
+    `triples_checked` counts the composable triples (r, s, t), all decided
+    by those two rules, from the elements ending and starting at each object.
     """
     prod = g.product
     for (r, s), t in prod.items():
@@ -124,29 +132,26 @@ def validate_germ(g: Germ) -> Valid | Violation:
         if prod.get((e.id, right_id)) != e.id:
             return Violation("identity not neutral on the right", (e.id, right_id))
 
-    checked = 0
-    n = g.size
-    for r in range(n):
-        for s in range(n):
-            if not g.composable(r, s):
-                continue
-            rs = prod.get((r, s))
-            for t in range(n):
-                if not g.composable(s, t):
-                    continue
-                checked += 1
-                st = prod.get((s, t))
-                if rs is not None:
-                    rst = prod.get((rs, t))
-                    if rst is not None:
-                        if st is None or prod.get((r, st)) != rst:
-                            return Violation("associativity", (r, s, t))
-                if st is not None:
-                    r_st = prod.get((r, st))
-                    if r_st is not None:
-                        if rs is None or prod.get((rs, t)) != r_st:
-                            return Violation("associativity", (r, s, t))
-    return Valid(checked)
+    right: list[dict[int, int]] = [{} for _ in g.elements]  # right[r][s] = r.s
+    left: list[dict[int, int]] = [{} for _ in g.elements]   # left[s][r] = r.s
+    for (r, s), t in prod.items():
+        right[r][s] = t
+        left[s][r] = t
+    for (r, s), rs in prod.items():
+        r_row, s_row = right[r], right[s]
+        for t, rst in right[rs].items():
+            st = s_row.get(t)
+            if st is None or r_row.get(st) != rst:
+                return Violation("associativity", (r, s, t))
+    for (s, t), st in prod.items():
+        for r, r_st in left[st].items():
+            rs = right[r].get(s)
+            if rs is None or right[rs].get(t) != r_st:
+                return Violation("associativity", (r, s, t))
+
+    ending = Counter(e.target for e in g.elements)
+    starting = Counter(e.source for e in g.elements)
+    return Valid(sum(ending[e.source] * starting[e.target] for e in g.elements))
 
 
 def germ_heights(g: Germ) -> list[int]:
@@ -271,6 +276,7 @@ class GermWitness:
     head: dict[tuple[int, int], int] | None   # (s, t) -> greatest of I(s, t)
     reason: str = ""
     data: tuple = ()
+    masks: _Masks | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @property
     def is_garside(self) -> bool:
@@ -305,19 +311,24 @@ def is_garside_germ(g: Germ) -> GermWitness:
     by_source: dict[int, list[int]] = {}
     for i in range(n):
         by_source.setdefault(m.src[i], []).append(i)
+    div, order = m.div, m.order
     for si in range(n):
+        # I(s, t) = (right factors of s, identity) & div[t]; see _Masks.greatest
+        right_of_s = m.rdef[si] | 1 << m.id_of_obj[m.tgt[si]]
+        s = order[si]
         for ti in by_source.get(m.tgt[si], ()):
-            gst = m.greatest(m.i_family(si, ti))
-            if gst is None:
+            family = right_of_s & div[ti]
+            hi = family.bit_length() - 1
+            if not family or family & ~div[hi]:
                 return GermWitness(
                     "not-garside",
                     None,
                     "family I(s,t) has no greatest element",
-                    (m.order[si], m.order[ti]),
+                    (s, order[ti]),
                 )
             if head is not None:
-                head[(m.order[si], m.order[ti])] = m.order[gst]
-    return GermWitness("garside", head)
+                head[(s, order[ti])] = order[hi]
+    return GermWitness("garside", head, masks=m)
 
 
 def germ_category(g: Germ) -> Presentation:
@@ -360,7 +371,7 @@ class GermStructure:
             raise GarsideError("germ is not a Garside germ: " + witness.reason)
         self.germ = germ
         self.witness = witness
-        self.masks = _Masks(germ)
+        self.masks = witness.masks
         self.lam = self.masks.lam
         self.prod = germ.product
         self.left_quot: dict[tuple[int, int], int] = {}
@@ -505,7 +516,7 @@ class GermContext(CategoryContext):
     def __init__(
         self, germ: Germ, limits: Limits = DEFAULT_LIMITS, validate: bool = True
     ):
-        if validate and germ.size <= 200:
+        if validate:
             v = validate_germ(germ)
             if isinstance(v, Violation):
                 raise ValidationError(f"germ axiom violation: {v.kind} at {v.data}")
@@ -518,7 +529,8 @@ class GermContext(CategoryContext):
         self.structure = GermStructure(germ, witness)
         self.limits = limits
         self.presentation = germ_category(germ)
-        self.elem_of_gen = [germ.by_name(g.name) for g in self.presentation.generators]
+        # germ_category makes one generator per nontrivial element, in order
+        self.elem_of_gen = [e.id for e in germ.elements if not germ.is_identity(e.id)]
         self.gen_of_elem = {e: i for i, e in enumerate(self.elem_of_gen)}
         lam = self.structure.lam
         self.noetherian = all(
@@ -667,13 +679,9 @@ class FiniteGroup:
             raise ValidationError(
                 "multiplication table must be square, one name per row"
             )
-        self.inv = [-1] * n
-        for a in range(n):
-            for b in range(n):
-                if self.mult[a][b] == identity:
-                    self.inv[a] = b
-        if any(i < 0 for i in self.inv):
+        if any(identity not in row for row in self.mult):
             raise ValidationError("table has a non-invertible row; not a group")
+        self.inv = [row.index(identity) for row in self.mult]
 
     @property
     def size(self) -> int:
@@ -685,12 +693,11 @@ class FiniteGroup:
     ) -> "FiniteGroup":
         """Permutations in one-line notation; product applies left then right."""
         index = {p: i for i, p in enumerate(perms)}
-        n = len(perms)
-        mult = [[0] * n for _ in range(n)]
-        for i, p in enumerate(perms):
-            for j, q in enumerate(perms):
-                composed = tuple(q[p[k]] for k in range(len(p)))
-                mult[i][j] = index[composed]
+        mult = []
+        for p in perms:
+            # q after p; itemgetter gives a bare item, not a tuple, for one index
+            compose = itemgetter(*p) if len(p) > 1 else lambda q, p=p: (q[p[0]],)
+            mult.append([index[compose(q)] for q in perms])
         ident = index[tuple(range(len(perms[0])))]
         return FiniteGroup(mult, list(names), ident)
 

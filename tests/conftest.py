@@ -130,6 +130,16 @@ def n3_gm(n3_ctx, n3_family):
     return build_garside_map(n3_ctx, n3_family)
 
 
+# every germ-backed catalog key with at most 132 elements: small enough for
+# the dense validation oracle (n^3 triples) and the quadratic family check
+SMALL_GERM_KEYS = (
+    [f"free_abelian:{n}" for n in range(1, 8)]
+    + [f"braid:{n}" for n in range(2, 6)]
+    + [f"dual_braid:{n}" for n in range(2, 7)]
+    + [f"artin:{t}" for t in ("A1", "A2", "A3", "A4", "B2", "B3", "G2")]
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _entry(key: str):
     return catalog.build(key)

@@ -8,14 +8,17 @@ package under test.  The closure routines require homogeneous relations
 compute full congruence classes at fixed length by exhaustive rewriting, so
 answers are exact.
 
-The last two sections import the package.  One is the word-level
+The last three sections import the package.  One is the word-level
 sliding-circuit BFS that `garsidekit.conjugacy` used before it moved to
 factor tables.  It goes through words, `GarsideMap.phi`, context left
 quotients and the signed `delta_normalize` for every slide and candidate,
 and serves as the reference the index-level engine is compared against.
-The other is the list-splice reversing that `garsidekit.reversing.reverse`
+Another is the list-splice reversing that `garsidekit.reversing.reverse`
 used before its two-stack scan: it reads every cell through
 `Complement.entry` and serves as the reference for results and grids.
+The last is the dense germ validation that `garsidekit.germs.validate_germ`
+ran before it checked associativity over defined products only: it visits
+every composable triple and serves as the reference for its verdicts.
 """
 
 from __future__ import annotations
@@ -403,3 +406,55 @@ def splice_reverse(comp, w, fuel):
     if pos_ids:
         mid = comp.presentation.generators[pos_ids[-1]].target
     return Word(pos_ids, w.source, mid), Word(neg_ids, w.target, mid), tuple(cells)
+
+
+# --- dense germ validation ------------------------------------------------
+
+
+def dense_validate_germ(g):
+    """
+    Check the germ axioms over all pairs and all composable triples:
+    identities are neutral, products respect endpoints, and associativity
+    holds in both mixed forms.  Returns the package's Valid / Violation.
+    """
+    from garsidekit.germs import Valid, Violation
+
+    prod = g.product
+    for (r, s), t in prod.items():
+        er, es, et = g.elements[r], g.elements[s], g.elements[t]
+        if er.target != es.source:
+            return Violation("product of non-composable pair", (r, s))
+        if et.source != er.source or et.target != es.target:
+            return Violation("product endpoints wrong", (r, s))
+
+    for e in g.elements:
+        left_id = g.identities[e.source]
+        right_id = g.identities[e.target]
+        if prod.get((left_id, e.id)) != e.id:
+            return Violation("identity not neutral on the left", (left_id, e.id))
+        if prod.get((e.id, right_id)) != e.id:
+            return Violation("identity not neutral on the right", (e.id, right_id))
+
+    checked = 0
+    n = g.size
+    for r in range(n):
+        for s in range(n):
+            if not g.composable(r, s):
+                continue
+            rs = prod.get((r, s))
+            for t in range(n):
+                if not g.composable(s, t):
+                    continue
+                checked += 1
+                st = prod.get((s, t))
+                if rs is not None:
+                    rst = prod.get((rs, t))
+                    if rst is not None:
+                        if st is None or prod.get((r, st)) != rst:
+                            return Violation("associativity", (r, s, t))
+                if st is not None:
+                    r_st = prod.get((r, st))
+                    if r_st is not None:
+                        if rs is None or prod.get((rs, t)) != r_st:
+                            return Violation("associativity", (r, s, t))
+    return Valid(checked)

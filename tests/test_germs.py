@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from garsidekit import catalog, germs
 from garsidekit.core import ObjectId, Word
-from garsidekit.errors import ValidationError
+from garsidekit.errors import GarsideError, ValidationError
 from garsidekit.garside import GarsideFamily
 from garsidekit.germs import (
     FiniteGroup,
@@ -24,6 +26,7 @@ from garsidekit.germs import (
 )
 
 import oracles
+from conftest import SMALL_GERM_KEYS
 
 
 def add_identity_rows(size: int, ident: int, prod: dict) -> dict:
@@ -130,6 +133,112 @@ def test_product_respects_endpoints():
     got = validate_germ(bad)
     assert isinstance(got, Violation)
     assert got.kind == "product of non-composable pair"
+
+
+def _nontrivial_products(g: Germ) -> list[tuple[int, int]]:
+    return [
+        (r, s)
+        for (r, s) in g.product
+        if not g.is_identity(r) and not g.is_identity(s)
+    ]
+
+
+def redirected(g: Germ, rng: random.Random) -> Germ | None:
+    """g with one nontrivial product r.s = t sent to another element of the
+    same length as t; None when no product has such an element."""
+    by_length: dict[int, list[int]] = {}
+    for e in g.elements:
+        by_length.setdefault(g.lengths[e.id], []).append(e.id)
+    pairs = [
+        rs
+        for rs in _nontrivial_products(g)
+        if len(by_length[g.lengths[g.product[rs]]]) > 1
+    ]
+    if not pairs:
+        return None
+    rs = rng.choice(pairs)
+    t = g.product[rs]
+    product = dict(g.product)
+    product[rs] = rng.choice([x for x in by_length[g.lengths[t]] if x != t])
+    return Germ(g.objects, g.elements, g.identities, product, g.lengths)
+
+
+def deleted(g: Germ, rng: random.Random) -> Germ | None:
+    """g without one nontrivial product; None when it has none."""
+    pairs = _nontrivial_products(g)
+    if not pairs:
+        return None
+    product = dict(g.product)
+    del product[rng.choice(pairs)]
+    return Germ(g.objects, g.elements, g.identities, product, g.lengths)
+
+
+@pytest.mark.parametrize("key", SMALL_GERM_KEYS)
+def test_sparse_validation_matches_dense_oracle(entry, key):
+    """Same verdict as the all-triples loop, on each catalog germ and on
+    seeded mutations of it; the reported triple may differ."""
+    germ = entry(key).context.germ
+    rng = random.Random(key)
+    corpus = [germ]
+    for mutate in (redirected, redirected, deleted, deleted):
+        mutated = mutate(germ, rng)
+        if mutated is not None:
+            corpus.append(mutated)
+    for g in corpus:
+        got, want = validate_germ(g), oracles.dense_validate_germ(g)
+        assert type(got) is type(want), (key, got, want)
+        if isinstance(want, Valid):
+            assert got == want
+        else:
+            assert got.kind == want.kind, (key, got, want)
+
+
+def test_sparse_validation_counts_triples_across_objects():
+    """Catalog germs have one object; here f: p -> q and g: q -> r compose
+    to h, so the composable triples depend on the endpoints."""
+    objs = tuple(ObjectId(i, n) for i, n in enumerate("pqr"))
+    ends = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)]
+    names = ["1p", "1q", "1r", "f", "g", "h"]
+    els = tuple(GermElement(i, names[i], s, t) for i, (s, t) in enumerate(ends))
+    prod = {(s, i): i for i, (s, _) in enumerate(ends)}
+    prod.update({(i, t): i for i, (_, t) in enumerate(ends)})
+    prod[(3, 4)] = 5
+    g = Germ(objs, els, (0, 1, 2), prod)
+    assert validate_germ(g) == oracles.dense_validate_germ(g) == Valid(15)
+
+
+def test_every_catalog_germ_rejects_a_redirected_product(entry):
+    """No size cap: on every germ, braid:6 and free_abelian:8 included, one
+    product sent to another element of the same length is caught."""
+    rejected, small = [], []
+    for key in catalog.keys():
+        ctx = entry(key).context
+        if not isinstance(ctx, GermContext):
+            continue
+        if ctx.germ.size <= 132:
+            small.append(key)
+        rng = random.Random(key)
+        for _ in range(3):
+            mutated = redirected(ctx.germ, rng)
+            if mutated is None:
+                break
+            with pytest.raises((ValidationError, GarsideError)):
+                GermContext(mutated)
+            rejected.append(key)
+    assert {"braid:6", "free_abelian:8", "dual_braid:6"} <= set(rejected)
+    assert sorted(small) == sorted(SMALL_GERM_KEYS)
+
+
+def test_large_germs_are_validated(entry, monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g.size)
+        return validate_germ(g)
+
+    monkeypatch.setattr(germs, "validate_germ", counting)
+    GermContext(entry("braid:6").context.germ)
+    assert calls == [720]
 
 
 # --- generated category -----------------------------------------------------
