@@ -13,6 +13,9 @@ sliding-circuit BFS that `garsidekit.conjugacy` used before it moved to
 factor tables.  It goes through words, `GarsideMap.phi`, context left
 quotients and the signed `delta_normalize` for every slide and candidate,
 and serves as the reference the index-level engine is compared against.
+Next to it are the memo-free walk to a sliding circuit and the two-set
+conjugacy decision, the references for the shared slide memo and for the
+one-set "yes" of `are_conjugate`.
 Another is the list-splice reversing that `garsidekit.reversing.reverse`
 used before its two-stack scan: it reads every cell through
 `Complement.entry` and serves as the reference for results and grids.
@@ -361,6 +364,53 @@ def word_sliding_circuits(gm, g):
                     nxt_frontier.extend(add_circuit(lim))
         frontier = nxt_frontier
     return set(nodes), edges
+
+
+def plain_slide_to_circuit(gm, d):
+    """
+    The memo-free walk that `garsidekit.conjugacy.slide_to_circuit` made
+    before it shared slides: iterate sliding until a state repeats.  Returns
+    (circuit entry, conjugator letters); raises `ExplosionGuard` once the
+    trail has more distinct states than the node budget.
+    """
+    from garsidekit.conjugacy import cyclic_sliding, preferred_prefix
+    from garsidekit.errors import ExplosionGuard
+
+    budget = gm.ctx.limits.node_budget
+    seen = {}
+    trail = [d]
+    prefixes = []
+    cur = d
+    while (cur.m, cur.factors) not in seen:
+        seen[(cur.m, cur.factors)] = len(trail) - 1
+        if len(trail) > budget:
+            raise ExplosionGuard("sliding did not reach a circuit within budget")
+        prefixes.append(preferred_prefix(gm, cur).letters)
+        cur = cyclic_sliding(gm, cur)
+        trail.append(cur)
+    entry = seen[(cur.m, cur.factors)]
+    return trail[entry], tuple(g for p in prefixes[:entry] for g in p)
+
+
+def two_set_conjugate(gm, g, h):
+    """
+    Conjugacy as `garsidekit.conjugacy.are_conjugate` decided it before it
+    answered "yes" from one set: build both sliding-circuit sets and
+    intersect their keys.  Returns a witness for the least common key, or
+    None when the sets are disjoint.
+    """
+    from garsidekit.conjugacy import sliding_circuit_set
+    from garsidekit.core import concat_signed, free_reduce
+
+    sg = sliding_circuit_set(gm, g)
+    sh = sliding_circuit_set(gm, h)
+    common = sg.keys() & sh.keys()
+    if not common:
+        return None
+    key = min(common)
+    cg = sg.node_for(key).conjugator
+    ch = sh.node_for(key).conjugator
+    return free_reduce(concat_signed(cg, ch.inverse()))
 
 
 # --- list-splice reversing ------------------------------------------------

@@ -8,9 +8,11 @@ import random
 
 import pytest
 
+import garsidekit.conjugacy as conjugacy
 from garsidekit.bounded import build_garside_map, delta_normalize
 from garsidekit.conjugacy import (
     No,
+    SlideMemo,
     Yes,
     are_conjugate,
     conj,
@@ -23,7 +25,7 @@ from garsidekit.conjugacy import (
     sliding_circuit_set,
 )
 from garsidekit.contexts import PresentedContext
-from garsidekit.core import SignedWord
+from garsidekit.core import SignedWord, signed_from_word
 from garsidekit.errors import ExplosionGuard
 from garsidekit.garside import GarsideFamily
 
@@ -332,3 +334,125 @@ def test_sliding_circuits_match_word_level_oracle(key, entry, b3_gm):
         keys, edges = oracles.word_sliding_circuits(gm, g)
         assert scs.keys() == keys, gm.ctx.presentation.display_signed(g)
         assert scs.edges == edges, gm.ctx.presentation.display_signed(g)
+
+
+# --- the shared slide memo and the one-set "yes" -----------------------------------
+
+
+CORPUS_KEYS = ["braid:3", "braid:4", "dual_braid:4", "artin:B3", "artin:G2", "b3_gm"]
+
+
+def _gm_for(key, entry, b3_gm):
+    return b3_gm if key == "b3_gm" else entry(key).garside_map
+
+
+def _corpus_states(gm, key):
+    """Δ-normal forms of the corpus words and of their divisor conjugates."""
+    rng = random.Random(f"sliding-circuits:{key}")
+    elements = gm.family.elements
+    states = []
+    for g in _random_reduced_words(gm.ctx, rng, 20, 6):
+        states.append(delta_normalize(gm, g))
+        for s in gm.divisors.get(g.source, ()):
+            sw = signed_from_word(elements[s])
+            states.append(delta_normalize(gm, conj(gm.ctx, g, sw)))
+    rng.shuffle(states)
+    return states
+
+
+def _slid(gm, d, memo):
+    """(entry key, conjugator letters) or "guard" through a shared memo."""
+    try:
+        lim, prefixes = slide_to_circuit(gm, d, memo)
+    except ExplosionGuard:
+        return "guard"
+    letters = tuple(g for i in prefixes for g in gm.family.elements[i].letters)
+    return _key(lim), letters
+
+
+def _plain(gm, d):
+    try:
+        lim, letters = oracles.plain_slide_to_circuit(gm, d)
+    except ExplosionGuard:
+        return "guard"
+    return _key(lim), letters
+
+
+@pytest.mark.parametrize("key", CORPUS_KEYS)
+def test_slide_memo_matches_plain_walk(key, entry, b3_gm):
+    gm = _gm_for(key, entry, b3_gm)
+    states = _corpus_states(gm, key)
+    memo = SlideMemo()
+    for d in states:
+        want = _plain(gm, d)
+        assert _slid(gm, d, memo) == want, d.display()
+        # without a memo the conjugator comes back as a signed word
+        lim, c = slide_to_circuit(gm, d)
+        assert (_key(lim), tuple(g for g, _ in c.letters)) == want, d.display()
+    assert len(memo.entry) >= len({_key(d) for d in states})
+
+
+@pytest.mark.parametrize("key", CORPUS_KEYS)
+def test_slide_memo_guard_fires_on_the_same_states(key, entry, b3_gm, monkeypatch):
+    gm = _gm_for(key, entry, b3_gm)
+    states = _corpus_states(gm, key)
+    fired = {}
+    # one memo per budget, and one carried from larger budgets to smaller
+    carried = SlideMemo()
+    for budget in (5, 3, 2, 1):
+        limits = dataclasses.replace(gm.ctx.limits, node_budget=budget)
+        monkeypatch.setattr(gm.ctx, "limits", limits)
+        want = [_plain(gm, d) for d in states]
+        memo = SlideMemo()
+        assert [_slid(gm, d, memo) for d in states] == want, budget
+        assert [_slid(gm, d, carried) for d in states] == want, budget
+        fired[budget] = want.count("guard")
+    # the guard both fires and stays silent on these corpora
+    assert fired[1] > 0 and fired[5] < len(states), fired
+
+
+@pytest.mark.parametrize("key", ["braid:4", "dual_braid:4", "b3_gm"])
+def test_each_state_is_slid_once_per_set(key, entry, b3_gm, monkeypatch):
+    gm = _gm_for(key, entry, b3_gm)
+    slid = []
+    real = conjugacy.cyclic_sliding
+
+    def counting(gm, d, *args):
+        slid.append(_key(d))
+        return real(gm, d, *args)
+
+    monkeypatch.setattr(conjugacy, "cyclic_sliding", counting)
+    rng = random.Random(f"slid-once:{key}")
+    for g in _random_reduced_words(gm.ctx, rng, 5, 6):
+        slid.clear()
+        scs = sliding_circuit_set(gm, g)
+        assert slid, gm.ctx.presentation.display_signed(g)
+        assert len(slid) == len(set(slid)), gm.ctx.presentation.display_signed(g)
+        assert scs.keys() <= set(slid)
+
+
+def test_are_conjugate_builds_one_set_for_yes(entry, monkeypatch):
+    gm = entry("braid:4").garside_map
+    ctx = gm.ctx
+    rng = random.Random("one-set-yes")
+    real = conjugacy.sliding_circuit_set
+    calls = []
+
+    def counting(gm, g):
+        calls.append(g)
+        return real(gm, g)
+
+    monkeypatch.setattr(conjugacy, "sliding_circuit_set", counting)
+    answers = []
+    for _ in range(50):
+        g, c, other = _random_reduced_words(ctx, rng, 3, 5)
+        for h in (conj(ctx, g, c), other):
+            want = oracles.two_set_conjugate(gm, g, h)
+            calls.clear()
+            got = are_conjugate(gm, g, h)
+            assert isinstance(got, Yes) is (want is not None)
+            assert len(calls) == (1 if want is not None else 2)
+            if want is not None:
+                assert signed_equal(gm, conj(ctx, g, got.witness), h)
+            answers.append(want is not None)
+    assert 50 <= answers.count(True) < 100
