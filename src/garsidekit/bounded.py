@@ -10,6 +10,13 @@ permutes the divisors.  Every element of the enveloping groupoid then has a
 unique expression Δ^m·x₁⋯x_k with the xᵢ proper nontrivial divisors forming
 a normal sequence; m is the inf, m+k the sup.
 
+Every `GarsideMap` reads one table, the germ Div(Δ) with s·t defined when
+s·t divides Δ (Foundations of Garside Theory, ch. VI).  A germ context's
+family already is that germ; for any other context Div(Δ) is enumerated
+once, compiled into a germ, and certified by the germ recognizer.  ∂, φ,
+quotients, meets and normal forms of divisor sequences then make no
+context call.
+
 Negative input is handled by the fraction route: a signed word is first
 expressed as d⁻¹·n, d is padded into a power of Δ, and the Δ⁻ᵖ is commuted
 to the front through φ⁻ᵖ, letterwise.
@@ -32,7 +39,15 @@ from .core import (
 )
 from .errors import INCONCLUSIVE, GarsideError, NotADivisor, UnsupportedError
 from .garside import GarsideFamily, left_fraction
-from .germs import GermContext, _bits
+from .germs import (
+    Germ,
+    GermElement,
+    GermStructure,
+    Violation,
+    _bits,
+    is_garside_germ,
+    validate_germ,
+)
 from . import reversing as rev
 
 
@@ -45,77 +60,60 @@ class Unbounded:
 
 
 class GarsideMap:
-    """Δ, its divisors, and the ∂/φ tables over a family bounded by Δ."""
+    """
+    Δ, its divisors, and the ∂/φ tables over a family that is exactly
+    Div(Δ), read from the germ: family index i is germ element elem[i],
+    generator g is germ element letter_elem[g] (None outside Div(Δ)).
+    """
 
     def __init__(
         self,
         ctx: CategoryContext,
         family: GarsideFamily,
+        structure: GermStructure,
+        elem: Sequence[int],
+        letter_elem: Sequence[int | None],
         delta: dict[int, int],
-        divisors: dict[int, tuple[int, ...]],
     ):
         self.ctx = ctx
         self.family = family
-        self.delta = dict(delta)          # object -> family index of Δ(object)
-        self.divisors = dict(divisors)    # object -> nontrivial divisor indices
-        self.compl: dict[int, int | None] = {}
-        for obj, idxs in self.divisors.items():
-            dw = family.elements[self.delta[obj]]
-            for i in idxs:
-                q = ctx.left_quotient(family.elements[i], dw)
-                if q is None or q is INCONCLUSIVE:
-                    raise GarsideError("divisor fails to divide its bound")
-                self.compl[i] = None if q.is_empty else family.index(q)
-                if not q.is_empty and self.compl[i] is None:
-                    raise GarsideError("complement left the family")
-        self._phi: dict[int, int] = {}
-        self._phi_inv: dict[int, int] = {}
-        for obj, idxs in self.divisors.items():
-            for i in idxs:
-                j = self._phi_of(i)
-                self._phi[i] = j
-                self._phi_inv[j] = i
+        self.structure = structure
+        self.delta = delta  # object -> family index of Δ(object)
+        elements = family.elements
+        by_source: dict[int, list[int]] = {}
+        for i, e in enumerate(elements):
+            by_source.setdefault(e.source, []).append(i)
+        # object -> nontrivial divisor indices
+        self.divisors = {obj: tuple(idxs) for obj, idxs in sorted(by_source.items())}
+        self._elem = list(elem)
+        # family index of each germ element, None for the identities
+        self._gen: list[int | None] = [None] * structure.germ.size
+        for i, e in enumerate(self._elem):
+            self._gen[e] = i
+        self.compl = [
+            self._gen[structure.quot(e, self._elem[delta[w.source]])]
+            for e, w in zip(self._elem, elements)
+        ]
+        self._phi = [0] * len(elements)
+        self._phi_inv = [0] * len(elements)
+        for i, c in enumerate(self.compl):
+            j = delta[elements[i].target] if c is None else self.compl[c]
+            self._phi[i] = j
+            self._phi_inv[j] = i
         # divisor index of each generator, None for letters outside Div(Δ)
-        self._gen_divisor: list[int | None] = []
-        for letter in range(len(ctx.presentation.generators)):
-            i = family.index(ctx.presentation.word([letter]))
-            self._gen_divisor.append(i if i in self.compl else None)
-        self._meet_memo: dict[tuple[int, int], int | None] = {}
-        self._quot_memo: dict[tuple[int, int], int | None] = {}
-        # germ arm: family index i is the generator of germ element elem[i]
-        self._germ = family._germ
-        if self._germ is not None:
-            self._elem = self._germ.elem_of_gen
-            self._gen: list[int | None] = [None] * self._germ.germ.size
-            for e, i in self._germ.gen_of_elem.items():
-                self._gen[e] = i
-
-    def _phi_of(self, i: int) -> int:
-        c = self.compl[i]
-        if c is None:  # i is Delta itself; phi(Delta(x)) = Delta(target)
-            return self.delta[self.family.elements[i].target]
-        c2 = self.compl[c]
-        if c2 is None:
-            raise GarsideError("complement chain escaped the divisors")
-        return c2
+        self._gen_divisor = [None if e is None else self._gen[e] for e in letter_elem]
 
     # -- word-level API ----------------------------------------------------------
 
     def delta_word(self, obj: int) -> Word:
         return self.family.elements[self.delta[obj]]
 
-    def is_divisor(self, g: Word) -> bool:
-        if g.is_empty:
-            return True
-        i = self.family.index(g)
-        return i is not None and i in self.compl
-
     def complement(self, g: Word) -> Word:
         """∂g with g·∂g = Δ(source of g)."""
         if g.is_empty:
             return self.delta_word(g.source)
         i = self.family.index(g)
-        if i is None or i not in self.compl:
+        if i is None:
             raise NotADivisor(self.ctx.show(g))
         c = self.compl[i]
         if c is None:
@@ -152,80 +150,26 @@ class GarsideMap:
 
     def left_quotient_index(self, i: int, j: int) -> int | None:
         """The divisor i\\j with i·(i\\j) = j; raises when i does not divide j."""
-        if i == j:
-            return None
-        if self._germ is not None:
-            q = self._germ.structure.quot(self._elem[i], self._elem[j])
-            return self._gen[q]
-        key = (i, j)
-        if key in self._quot_memo:
-            return self._quot_memo[key]
-        elements = self.family.elements
-        q = self.ctx.left_quotient(elements[i], elements[j])
-        if q is None or q is INCONCLUSIVE:
-            raise GarsideError("divisor does not divide: " + self.ctx.show(elements[j]))
-        out = None if q.is_empty else self.family.index(q)
-        if out is None and not q.is_empty:
-            raise GarsideError("quotient of two divisors left the family")
-        self._quot_memo[key] = out
-        return out
+        return self._gen[self.structure.quot(self._elem[i], self._elem[j])]
 
     def strip_delta(self, factors: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         """(number of leading Δ factors, the factors after them)."""
         lead = 0
         compl = self.compl
-        while lead < len(factors) and compl.get(factors[lead], 0) is None:
+        while lead < len(factors) and compl[factors[lead]] is None:
             lead += 1
         return lead, factors[lead:]
 
     def normal_factors(self, seq: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-        """
-        Normalise a sequence of divisor indices and strip its leading Δs:
-        one germ sweep over element ids, or the family's normal form of the
-        concatenated word.
-        """
-        if self._germ is not None:
-            elem = self._elem
-            gen = self._gen
-            swept = self._germ.structure.normalize([elem[i] for i in seq])
-            return self.strip_delta(tuple([gen[e] for e in swept]))
-        if not seq:
-            return 0, ()
-        elements = self.family.elements
-        letters: list[int] = []
-        for i in seq:
-            letters.extend(elements[i].letters)
-        w = Word(tuple(letters), elements[seq[0]].source, elements[seq[-1]].target)
-        return self.strip_delta(self.family.normalize(w).factors)
+        """Normalise divisor indices by one germ sweep; strip the leading Δs."""
+        elem = self._elem
+        gen = self._gen
+        swept = self.structure.normalize([elem[i] for i in seq])
+        return self.strip_delta(tuple([gen[e] for e in swept]))
 
     def meet(self, i: int, j: int) -> int | None:
-        """
-        Greatest common divisor of two divisors, as a family index; None is
-        the identity.  Uses the germ lattice when available, else the
-        divisor-list order.
-        """
-        key = (i, j) if i <= j else (j, i)
-        if key in self._meet_memo:
-            return self._meet_memo[key]
-        out: int | None
-        if self._germ is not None:
-            out = self._gen[self._germ.structure.meet(self._elem[i], self._elem[j])]
-        else:
-            obj = self.family.elements[i].source
-            common = [
-                d
-                for d in self.divisors[obj]
-                if self.family._divides(d, i) and self.family._divides(d, j)
-            ]
-            out = None
-            for c in common:
-                if all(self.family._divides(d, c) for d in common):
-                    out = c
-                    break
-            if out is None and common:
-                raise GarsideError("common divisors have no greatest element")
-        self._meet_memo[key] = out
-        return out
+        """Greatest common divisor of two divisors; None is the identity."""
+        return self._gen[self.structure.meet(self._elem[i], self._elem[j])]
 
 
 def build_garside_map(
@@ -234,64 +178,43 @@ def build_garside_map(
     """
     Find Δ per object as the right-lcm of the family members at that object,
     then verify the family is exactly Div(Δ).  Divisor enumeration past the
-    configured bound, a missing lcm, or a divisor outside the family all
-    yield an Unbounded certificate.
+    configured bound, a missing lcm, a divisor outside the family, or a
+    compiled Div(Δ) that is not a Garside germ all yield an Unbounded
+    certificate.  A germ context's own family is read from its germ.
     """
-    if isinstance(ctx, GermContext) and family._germ is not None:
-        return _germ_map(ctx, family)
+    if family._germ is None:
+        return _compile(ctx, family, {})
+    elem = family._germ.elem_of_gen
+    return _germ_map(ctx, family, family._germ.structure, elem, elem)
 
-    delta: dict[int, int] = {}
-    divisors: dict[int, tuple[int, ...]] = {}
-    by_source: dict[int, list[int]] = {}
-    for i, e in enumerate(family.elements):
-        by_source.setdefault(e.source, []).append(i)
-    for obj, members in sorted(by_source.items()):
-        dw = family.elements[members[0]]
-        for i in members[1:]:
-            z = ctx.right_lcm(dw, family.elements[i])
-            if isinstance(z, rev.NoCommonMultiple):
-                return Unbounded(
-                    "family members with no common right-multiple",
-                    (ctx.show(dw), ctx.show(family.elements[i])),
-                )
-            if z is INCONCLUSIVE:
-                return Unbounded(
-                    "lcm search inconclusive",
-                    (ctx.show(dw), ctx.show(family.elements[i])),
-                )
-            dw = z
-        di = family.index(dw)
-        if di is None:
-            return Unbounded("right-lcm of the family lies outside it", (ctx.show(dw),))
-        delta[obj] = di
 
-        found = _enumerate_divisors(ctx, dw, obj)
-        if isinstance(found, Unbounded):
-            return found
-        idxs: list[int] = []
-        for w in found:
-            fi = family.index(w)
-            if fi is None:
-                return Unbounded(
-                    "divisor of the bound lies outside the family",
-                    (ctx.show(w), ctx.show(dw)),
-                )
-            idxs.append(fi)
-        for i in members:
-            if i not in idxs:
-                idxs.append(i)
-        divisors[obj] = tuple(sorted(set(idxs)))
-    return GarsideMap(ctx, family, delta, divisors)
+def _divisor_family(
+    ctx: CategoryContext, delta: Word
+) -> tuple[GarsideFamily, GarsideMap | Unbounded]:
+    """The family Div(Δ) of a given bound and its map, from one enumeration."""
+    found = _enumerate_divisors(ctx, delta, delta.source)
+    if isinstance(found, Unbounded):
+        raise UnsupportedError(found.reason)
+    family = GarsideFamily(ctx, found[0])
+    return family, _compile(ctx, family, {delta.source: found})
 
 
 def _enumerate_divisors(ctx: CategoryContext, dw: Word, obj: int):
-    """Nontrivial left-divisors of dw by breadth-first letter extension."""
+    """
+    Left-divisors of dw by breadth-first letter extension, the identity
+    first, with their step table: steps[k][g] is the index of the divisor
+    equal to words[k]·g, present when that product divides dw.
+    """
     bound = ctx.limits.divisor_search_bound
-    out: list[Word] = []
-    frontier: list[Word] = [empty_word(obj)]
+    words: list[Word] = [empty_word(obj)]
+    steps: list[dict[int, int]] = [{}]
+    frontier = [0]
     while frontier:
-        new: list[Word] = []
-        for w in frontier:
+        # relations that keep length leave only this level's words to compare
+        first = len(words) if ctx.presentation.homogeneous else 1
+        new = []
+        for j in frontier:
+            w = words[j]
             for gen in ctx.presentation.generators:
                 if gen.source != w.target:
                     continue
@@ -301,55 +224,132 @@ def _enumerate_divisors(ctx: CategoryContext, dw: Word, obj: int):
                     return Unbounded("divisor search inconclusive", (ctx.show(cand),))
                 if not d:
                     continue
-                if any(_true(ctx.equal(cand, seen)) for seen in out):
-                    continue
-                out.append(cand)
-                new.append(cand)
-                if len(out) > bound:
-                    return Unbounded(
-                        "divisor enumeration exceeded the bound",
-                        tuple(ctx.show(x) for x in out[:6]) + ("...",),
-                    )
+                k = next(
+                    (k for k in range(first, len(words)) if _true(ctx.equal(cand, words[k]))),
+                    None,
+                )
+                if k is None:
+                    k = len(words)
+                    words.append(cand)
+                    steps.append({})
+                    new.append(k)
+                    if k > bound:
+                        return Unbounded(
+                            "divisor enumeration exceeded the bound",
+                            tuple(ctx.show(x) for x in words[1:7]) + ("...",),
+                        )
+                steps[j][gen.id] = k
         frontier = new
-    return out
+    return words, steps
 
 
-def _germ_map(ctx: GermContext, family: GarsideFamily) -> GarsideMap | Unbounded:
-    st = ctx.structure
+def _compile(ctx: CategoryContext, family: GarsideFamily, tables) -> GarsideMap | Unbounded:
+    """
+    Δ per object as the right-lcm of the family members there, then the
+    germ Div(Δ) from the divisor enumeration of each Δ (`tables` holds those
+    already made, by object): element i is family element i, then one
+    identity per object.  s·t is defined when folding the step table over
+    t's letters, from s, stays in Div(Δ).  The germ is validated and
+    certified before use.
+    """
+    elements = family.elements
+    by_source: dict[int, list[Word]] = {}
+    for e in elements:
+        by_source.setdefault(e.source, []).append(e)
+    for obj, members in sorted(by_source.items()):
+        dw = members[0]
+        for e in members[1:]:
+            z = ctx.right_lcm(dw, e)
+            if isinstance(z, rev.NoCommonMultiple):
+                return Unbounded(
+                    "family members with no common right-multiple",
+                    (ctx.show(dw), ctx.show(e)),
+                )
+            if z is INCONCLUSIVE:
+                return Unbounded("lcm search inconclusive", (ctx.show(dw), ctx.show(e)))
+            dw = z
+        if family.index(dw) is None:
+            return Unbounded("right-lcm of the family lies outside it", (ctx.show(dw),))
+        if obj not in tables:
+            found = _enumerate_divisors(ctx, dw, obj)
+            if isinstance(found, Unbounded):
+                return found
+            tables[obj] = found
+
+    n = len(elements)
+    objects = ctx.presentation.objects
+    words = list(elements) + [empty_word(o.id) for o in objects]
+    at_letters = {e.letters: i for i, e in enumerate(elements)}
+    product: dict[tuple[int, int], int] = {}
+    letter_elem: list[int | None] = [None] * len(ctx.presentation.generators)
+    for o in objects:
+        divisors, steps = tables.get(o.id, ((), [{}]))
+        row_elem = [n + o.id]  # germ element of each row of steps
+        for w in divisors[1:]:
+            i = at_letters.get(w.letters)
+            if i is None:
+                i = family.index(w)
+            if i is None:
+                return Unbounded("divisor of the bound lies outside the family", (ctx.show(w),))
+            row_elem.append(i)
+        for g, k in steps[0].items():
+            letter_elem[g] = row_elem[k]
+        for k, s in enumerate(row_elem):
+            for t, wt in enumerate(words):
+                if wt.source != words[s].target:
+                    continue
+                r = k
+                for g in wt.letters:
+                    r = steps[r].get(g)
+                    if r is None:
+                        break
+                else:
+                    product[(s, t)] = row_elem[r]
+    germ = Germ(
+        objects,
+        [GermElement(i, str(i), w.source, w.target) for i, w in enumerate(words)],
+        [n + o.id for o in objects],
+        product,
+    )
+    valid = validate_germ(germ)
+    if isinstance(valid, Violation):
+        return Unbounded(valid.kind, tuple(ctx.show(words[x]) for x in valid.data))
+    witness = is_garside_germ(germ)
+    if not witness.is_garside:
+        return Unbounded(witness.reason, tuple(ctx.show(words[x]) for x in witness.data))
+    return _germ_map(ctx, family, GermStructure(germ, witness), range(n), letter_elem)
+
+
+def _germ_map(
+    ctx: CategoryContext,
+    family: GarsideFamily,
+    st: GermStructure,
+    elem: Sequence[int],
+    letter_elem: Sequence[int | None],
+) -> GarsideMap | Unbounded:
+    """
+    Δ per object as the greatest family member there, which every member
+    must divide; family index i is germ element elem[i].
+    """
     m = st.masks
-    delta: dict[int, int] = {}
-    divisors: dict[int, tuple[int, ...]] = {}
     by_source: dict[int, int] = {}
-    for i in range(ctx.germ.size):
-        obj = m.src[i]
-        by_source[obj] = by_source.get(obj, 0) | (1 << i)
+    for i, w in enumerate(family.elements):
+        by_source[w.source] = by_source.get(w.source, 0) | 1 << m.pos[elem[i]]
+    delta: dict[int, int] = {}
     for obj, mask in sorted(by_source.items()):
         top = m.greatest(mask)
         if top is None:
             return Unbounded(
                 "no greatest element among the germ members at an object",
-                (ctx.germ.objects[obj].name,),
+                (ctx.presentation.objects[obj].name,),
             )
-        delta_elem = m.order[top]
-        if ctx.germ.is_identity(delta_elem):
-            continue  # no nontrivial members at this object
-        delta[obj] = ctx.gen_of_elem[delta_elem]
-        idxs = [
-            ctx.gen_of_elem[m.order[b]]
-            for b in _bits(m.div[top])
-            if not ctx.germ.is_identity(m.order[b])
-        ]
-        divisors[obj] = tuple(sorted(idxs))
-        # the family must be exactly the divisors of delta
-        member_count = sum(
-            1 for b in _bits(mask) if not ctx.germ.is_identity(m.order[b])
-        )
-        if member_count != len(idxs):
+        delta[obj] = elem.index(m.order[top])
+        if (m.div[top] & ~m.idmask).bit_count() != mask.bit_count():
             return Unbounded(
                 "germ members at the object are not all divisors of the top element",
-                (ctx.germ.elements[delta_elem].name,),
+                (ctx.show(family.elements[delta[obj]]),),
             )
-    return GarsideMap(ctx, family, delta, divisors)
+    return GarsideMap(ctx, family, st, elem, letter_elem, delta)
 
 
 @dataclasses.dataclass(frozen=True)

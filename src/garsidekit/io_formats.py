@@ -27,7 +27,7 @@ import dataclasses
 import re
 
 from . import reversing as rev
-from .bounded import GarsideMap, Unbounded, _enumerate_divisors, build_garside_map
+from .bounded import GarsideMap, Unbounded, _divisor_family, build_garside_map
 from .config import DEFAULT_LIMITS, Limits
 from .contexts import PresentedContext
 from .core import (
@@ -487,15 +487,13 @@ def build_structure(doc: StructureDoc, limits: Limits = DEFAULT_LIMITS) -> Loade
         if doc.garside[0] == "family":
             words = [pres.parse_word(" ".join(t)) for t in doc.garside[1]]
             family = GarsideFamily(ctx, words)
+            built = build_garside_map(ctx, family)
         elif doc.garside[0] == "delta":
             delta = pres.parse_word(" ".join(doc.garside[1]))
-            divisors = _enumerate_divisors(ctx, delta, delta.source)
-            if isinstance(divisors, Unbounded):
-                raise UnsupportedError(divisors.reason)
-            family = GarsideFamily(ctx, divisors)
+            family, built = _divisor_family(ctx, delta)
         else:
             family = _auto_family(ctx, limits.family_search_bound)
-        built = build_garside_map(ctx, family)
+            built = build_garside_map(ctx, family)
         if isinstance(built, Unbounded):
             unbounded = built
         else:

@@ -93,9 +93,6 @@ class Complement:
             return empty_word(gen.target)
         return self.table.get((t, s))
 
-    def defined_pairs(self) -> set[tuple[int, int]]:
-        return set(self.table.keys())
-
 
 @dataclasses.dataclass(frozen=True)
 class ReversingCell:

@@ -8,7 +8,7 @@ package under test.  The closure routines require homogeneous relations
 compute full congruence classes at fixed length by exhaustive rewriting, so
 answers are exact.
 
-The last three sections import the package.  One is the word-level
+The last four sections import the package.  One is the word-level
 sliding-circuit BFS that `garsidekit.conjugacy` used before it moved to
 factor tables.  It goes through words, `GarsideMap.phi`, context left
 quotients and the signed `delta_normalize` for every slide and candidate,
@@ -19,9 +19,13 @@ one-set "yes" of `are_conjugate`.
 Another is the list-splice reversing that `garsidekit.reversing.reverse`
 used before its two-stack scan: it reads every cell through
 `Complement.entry` and serves as the reference for results and grids.
-The last is the dense germ validation that `garsidekit.germs.validate_germ`
+Next is the dense germ validation that `garsidekit.germs.validate_germ`
 ran before it checked associativity over defined products only: it visits
 every composable triple and serves as the reference for its verdicts.
+The last is the word-level arm of `GarsideMap` from before every map read
+the germ Div(Δ): complements, φ, quotients, meets and normal forms of
+divisor sequences, all through context quotients, divisibility and the
+family's head extraction.  It is the reference for the table.
 """
 
 from __future__ import annotations
@@ -508,3 +512,80 @@ def dense_validate_germ(g):
                         if rs is None or prod.get((rs, t)) != r_st:
                             return Violation("associativity", (r, s, t))
     return Valid(checked)
+
+
+# --- word-level Garside-map arms --------------------------------------------
+
+
+def word_complement_index(gm, i):
+    """∂ of divisor i through a context left quotient into Δ and a family lookup."""
+    from garsidekit.errors import INCONCLUSIVE, GarsideError
+
+    elements = gm.family.elements
+    q = gm.ctx.left_quotient(elements[i], gm.delta_word(elements[i].source))
+    if q is None or q is INCONCLUSIVE:
+        raise GarsideError("divisor fails to divide its bound")
+    out = None if q.is_empty else gm.family.index(q)
+    if out is None and not q.is_empty:
+        raise GarsideError("complement left the family")
+    return out
+
+
+def word_phi_index(gm, i):
+    """φ(i) = ∂∂i, with φ(Δ(x)) = Δ(target of Δ(x))."""
+    c = word_complement_index(gm, i)
+    if c is None:
+        return gm.delta[gm.family.elements[i].target]
+    return word_complement_index(gm, c)
+
+
+def word_quotient_index(gm, i, j):
+    """The divisor i\\j through a context left quotient; raises when i does not divide j."""
+    from garsidekit.errors import INCONCLUSIVE, GarsideError
+
+    if i == j:
+        return None
+    elements = gm.family.elements
+    q = gm.ctx.left_quotient(elements[i], elements[j])
+    if q is None or q is INCONCLUSIVE:
+        raise GarsideError("divisor does not divide: " + gm.ctx.show(elements[j]))
+    out = None if q.is_empty else gm.family.index(q)
+    if out is None and not q.is_empty:
+        raise GarsideError("quotient of two divisors left the family")
+    return out
+
+
+def word_normal_factors(gm, seq):
+    """
+    (leading Δ count, remaining factors) of a sequence of divisors, from the
+    family's head-extraction normal form of the concatenated word.
+    """
+    from garsidekit.core import Word
+
+    if not seq:
+        return 0, ()
+    elements = gm.family.elements
+    letters = tuple(g for i in seq for g in elements[i].letters)
+    w = Word(letters, elements[seq[0]].source, elements[seq[-1]].target)
+    factors = gm.family.normalize(w).factors
+    lead = 0
+    while lead < len(factors) and word_complement_index(gm, factors[lead]) is None:
+        lead += 1
+    return lead, factors[lead:]
+
+
+def word_meet(gm, i, j):
+    """Greatest common divisor of divisors i and j in the divisor-list order."""
+    from garsidekit.errors import GarsideError
+
+    family = gm.family
+    obj = family.elements[i].source
+    common = [
+        d for d in gm.divisors[obj] if family._divides(d, i) and family._divides(d, j)
+    ]
+    for c in common:
+        if all(family._divides(d, c) for d in common):
+            return c
+    if common:
+        raise GarsideError("common divisors have no greatest element")
+    return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from garsidekit.bounded import (
     lcm_right,
 )
 from garsidekit.core import empty_word, mirror_word
-from garsidekit.errors import NotADivisor
+from garsidekit.errors import GarsideError, NotADivisor
 from garsidekit.garside import GarsideFamily
 from garsidekit.conjugacy import signed_equal
 
@@ -54,6 +55,24 @@ def test_klein_atom_family_unbounded():
     got = build_garside_map(ctx, fam)
     assert isinstance(got, Unbounded)
     assert got.witness  # the growing divisor enumeration is the certificate
+
+
+def test_div_delta_that_is_not_a_germ_is_unbounded():
+    """
+    In <a, b | aba = bb> the right divisor ba of Δ = aba does not divide Δ
+    on the left, so a·b·a is defined in Div(Δ) while b·a is not: the
+    compiled Div(Δ) fails the germ axioms and the validator's reason is
+    returned.
+    """
+    from conftest import monoid_presentation
+    from garsidekit.contexts import PresentedContext
+
+    ctx = PresentedContext(monoid_presentation("ab", [("aba", "bb")]))
+    fam = GarsideFamily(ctx, [ctx.parse(w) for w in ("a", "b", "ab", "aba")])
+    got = build_garside_map(ctx, fam)
+    assert isinstance(got, Unbounded)
+    assert got.reason == "associativity"
+    assert got.witness == ("a", "b", "a")
 
 
 # --- complement ----------------------------------------------------------------
@@ -261,3 +280,28 @@ def test_lattice_laws_sample(b3_ctx, b3_gm):
         assert b3_ctx.equal(gcd(b3_gm, u, lcm_right(b3_gm, u, v)), u)
         luv = lcm_right(b3_gm, u, guv)
         assert b3_ctx.equal(luv, u)
+
+
+# --- the Div(Δ) table against the word-level arms ---------------------------------
+
+
+@pytest.mark.parametrize("name", ["b3", "b4", "n2", "n3"])
+def test_table_matches_word_arms(request, name):
+    gm = request.getfixturevalue(f"{name}_gm")
+    family = gm.family
+    divs = [i for obj in sorted(gm.divisors) for i in gm.divisors[obj]]
+    for i in divs:
+        assert gm.compl[i] == oracles.word_complement_index(gm, i)
+        assert gm.phi_index(i, 1) == oracles.word_phi_index(gm, i)
+    for i, j in itertools.product(divs, repeat=2):
+        assert gm.meet(i, j) == oracles.word_meet(gm, i, j), (i, j)
+        assert gm.normal_factors((i, j)) == oracles.word_normal_factors(gm, (i, j))
+        if family._divides(i, j):
+            assert gm.left_quotient_index(i, j) == oracles.word_quotient_index(gm, i, j)
+        else:
+            with pytest.raises(GarsideError):
+                gm.left_quotient_index(i, j)
+    rng = random.Random(name)
+    for _ in range(40):
+        seq = tuple(rng.choice(divs) for _ in range(rng.randint(3, 6)))
+        assert gm.normal_factors(seq) == oracles.word_normal_factors(gm, seq), seq

@@ -456,3 +456,42 @@ def test_are_conjugate_builds_one_set_for_yes(entry, monkeypatch):
                 assert signed_equal(gm, conj(ctx, g, got.witness), h)
             answers.append(want is not None)
     assert 50 <= answers.count(True) < 100
+
+
+def test_sliding_circuit_set_reads_only_the_table(b3_ctx, b3_gm, monkeypatch):
+    """
+    Apart from Δ-normalising its input and re-verifying its nodes, a set on
+    a presented context slides and conjugates without normalising words or
+    dividing them in the context.
+    """
+    depth = [0]
+    calls = []
+    real_dnf = conjugacy.delta_normalize
+
+    def dnf(gm, w):
+        depth[0] += 1
+        try:
+            return real_dnf(gm, w)
+        finally:
+            depth[0] -= 1
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(conjugacy, "delta_normalize", dnf)
+    monkeypatch.setattr(
+        GarsideFamily, "normalize", counted("normalize", GarsideFamily.normalize)
+    )
+    monkeypatch.setattr(
+        PresentedContext,
+        "left_quotient",
+        counted("left_quotient", PresentedContext.left_quotient),
+    )
+    scs = sliding_circuit_set(b3_gm, _signed(b3_ctx, "a b^-1 b^-1 a"))
+    assert len(scs.nodes) > 1
+    assert calls == []
