@@ -41,10 +41,10 @@ from .errors import INCONCLUSIVE, GarsideError, NotADivisor, UnsupportedError
 from .garside import GarsideFamily, left_fraction
 from .germs import (
     Germ,
+    GermContext,
     GermElement,
     GermStructure,
     Violation,
-    _bits,
     is_garside_germ,
     validate_germ,
 )
@@ -100,6 +100,9 @@ class GarsideMap:
             j = delta[elements[i].target] if c is None else self.compl[c]
             self._phi[i] = j
             self._phi_inv[j] = i
+        # φ on objects: Δ(x) runs from x to φ(x); an object without Δ is fixed
+        self._phi_obj = {x: elements[i].target for x, i in delta.items()}
+        self._phi_obj_inv = {y: x for x, y in self._phi_obj.items()}
         # divisor index of each generator, None for letters outside Div(Δ)
         self._gen_divisor = [None if e is None else self._gen[e] for e in letter_elem]
 
@@ -125,8 +128,10 @@ class GarsideMap:
         φ^power(g), extended letterwise: φ is a functor and permutes the
         divisors, so mapping each letter through the index table suffices.
         """
-        if power == 0 or g.is_empty:
+        if power == 0:
             return g
+        if g.is_empty:
+            return empty_word(self.phi_object(g.source, power))
         gens = self.ctx.presentation.generators
         elements = self.family.elements
         letters: list[int] = []
@@ -135,9 +140,14 @@ class GarsideMap:
             if i is None:
                 raise NotADivisor(gens[letter].name)
             letters.extend(elements[self.phi_index(i, power)].letters)
-        src = gens[letters[0]].source if letters else g.source
-        tgt = gens[letters[-1]].target if letters else g.target
-        return Word(tuple(letters), src, tgt)
+        return Word(tuple(letters), gens[letters[0]].source, gens[letters[-1]].target)
+
+    def phi_object(self, obj: int, power: int) -> int:
+        """φ^power of an object."""
+        table = self._phi_obj if power > 0 else self._phi_obj_inv
+        for _ in range(abs(power)):
+            obj = table.get(obj, obj)
+        return obj
 
     # -- index-level API: divisors as family indices, None the identity --------
 
@@ -197,6 +207,14 @@ def _divisor_family(
         raise UnsupportedError(found.reason)
     family = GarsideFamily(ctx, found[0])
     return family, _compile(ctx, family, {delta.source: found})
+
+
+def germ_family(ctx: GermContext) -> tuple[GarsideFamily, GarsideMap | Unbounded]:
+    """A germ context's generators as its Garside family, and that family's map."""
+    family = GarsideFamily(
+        ctx, [ctx.presentation.word([g.id]) for g in ctx.presentation.generators]
+    )
+    return family, build_garside_map(ctx, family)
 
 
 def _enumerate_divisors(ctx: CategoryContext, dw: Word, obj: int):
@@ -395,10 +413,11 @@ class DeltaNormal:
     def signed_word(self) -> SignedWord:
         if self.m >= 0:
             return signed_from_word(self.word())
-        dpow = empty_word(self.source)
+        # Δ^m is Δ^-m read backwards; Δ^-m runs from φ^m(source) to source
+        dpow = empty_word(self.gm.phi_object(self.source, self.m))
         for _ in range(-self.m):
             dpow = concat(dpow, self.gm.delta_word(dpow.target))
-        tail = empty_word(dpow.target)
+        tail = empty_word(dpow.source)
         for i in self.factors:
             tail = concat(tail, self.gm.family.elements[i])
         letters = tuple((g, -1) for g in reversed(dpow.letters)) + tuple(
@@ -493,6 +512,7 @@ __all__ = [
     "Unbounded",
     "DeltaNormal",
     "build_garside_map",
+    "germ_family",
     "delta_normalize",
     "gcd",
     "lcm_right",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .bounded import GarsideMap, Unbounded, build_garside_map
+from .bounded import GarsideMap, Unbounded, germ_family
 from .config import DEFAULT_LIMITS, Limits
 from .contexts import PresentedContext
 from .core import CategoryContext, Generator, ObjectId, Presentation, Word
@@ -63,15 +63,9 @@ class CatalogEntry:
         return "germ" if isinstance(self.context, GermContext) else "presentation"
 
 
-def _germ_family(ctx: GermContext) -> GarsideFamily:
-    words = [ctx.presentation.word([g.id]) for g in ctx.presentation.generators]
-    return GarsideFamily(ctx, words)
-
-
 def _wire_germ(key: str, germ: Germ, limits: Limits, notes: str) -> CatalogEntry:
     ctx = GermContext(germ, limits)
-    family = _germ_family(ctx)
-    gm = build_garside_map(ctx, family)
+    family, gm = germ_family(ctx)
     if isinstance(gm, Unbounded):
         raise GarsideError(f"catalog entry {key}: expected a bounded family")
     return CatalogEntry(key, ctx, family, gm, notes)

@@ -24,12 +24,12 @@ import sys
 from . import catalog as catalog_mod
 from . import io_formats as iof
 from . import reversing as rev
-from .bounded import Unbounded, build_garside_map, delta_normalize, gcd as gcd_of
+from .bounded import Unbounded, delta_normalize, gcd as gcd_of, germ_family
 from .config import DEFAULT_LIMITS, Limits
 from .conjugacy import Yes, are_conjugate, sliding_circuit_set
 from .contexts import PresentedContext
 from .errors import GarsideError, INCONCLUSIVE, ParseError, UnsupportedError
-from .garside import GarsideFamily, is_garside_family, word_problem
+from .garside import is_garside_family, word_problem
 from .germs import GermContext, Valid, validate_germ
 from .io_formats import Loaded
 
@@ -181,11 +181,7 @@ def _run_check(args, limits: Limits) -> int:
                 notes.append(f"is_garside_family: {e}")
             else:
                 lines["is_garside_family"] = "PASS"
-                family = GarsideFamily(
-                    ctx,
-                    [ctx.presentation.word([g.id]) for g in ctx.presentation.generators],
-                )
-                built = build_garside_map(ctx, family)
+                _, built = germ_family(ctx)
                 if isinstance(built, Unbounded):
                     lines["build_garside_map"] = "FAIL"
                     notes.append(f"build_garside_map: {built.reason}")

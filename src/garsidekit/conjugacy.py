@@ -18,7 +18,10 @@ family indices, and each operation renormalises one short index sequence
 
 which stays positive because p divides φ^{-m}(x₁).  All three stay inside
 the conjugacy class; iterated sliding reaches a circuit because the state
-space (Δ-normal keys at fixed inf/sup window) is finite.
+space (Δ-normal keys at fixed inf/sup window) is finite.  In a category
+with several objects, conjugating a loop at x by c: x → y gives a loop at
+y, so each operation moves the state to its conjugator's other end, and a
+state's key (m, factors, object) keeps Δ^m at two objects apart.
 
 The sliding-circuit set is closed under conjugation by divisors of Δ, so a
 BFS over divisor conjugations that slides every candidate to its circuit and
@@ -75,13 +78,13 @@ def signed_equal(gm: GarsideMap, u: SignedWord, v: SignedWord) -> bool:
     """Groupoid equality via Δ-normal forms."""
     du = delta_normalize(gm, u)
     dv = delta_normalize(gm, v)
-    return du.m == dv.m and du.factors == dv.factors
+    return du.source == dv.source and du.m == dv.m and du.factors == dv.factors
 
 
-def _renormalized(gm: GarsideMap, d: DeltaNormal, m: int, seq) -> DeltaNormal:
-    """Δ^m·seq as a Δ-normal form at the endpoints of d."""
+def _renormalized(gm: GarsideMap, obj: int, m: int, seq) -> DeltaNormal:
+    """Δ^m·seq as a Δ-normal form of a loop at obj."""
     lead, factors = gm.normal_factors(seq)
-    return DeltaNormal(gm, m + lead, factors, d.source, d.target)
+    return DeltaNormal(gm, m + lead, factors, obj, obj)
 
 
 def cycling(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
@@ -89,7 +92,8 @@ def cycling(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
     if not d.factors:
         return d
     iota = gm.phi_index(d.factors[0], -d.m)
-    return _renormalized(gm, d, d.m, d.factors[1:] + (iota,))
+    obj = gm.family.elements[iota].target
+    return _renormalized(gm, obj, d.m, d.factors[1:] + (iota,))
 
 
 def decycling(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
@@ -97,7 +101,8 @@ def decycling(gm: GarsideMap, d: DeltaNormal) -> DeltaNormal:
     if not d.factors:
         return d
     head = gm.phi_index(d.factors[-1], d.m)
-    return _renormalized(gm, d, d.m, (head,) + d.factors[:-1])
+    obj = gm.family.elements[d.factors[-1]].source
+    return _renormalized(gm, obj, d.m, (head,) + d.factors[:-1])
 
 
 def _prefix(gm: GarsideMap, d: DeltaNormal) -> int | None:
@@ -131,14 +136,16 @@ def cyclic_sliding(gm: GarsideMap, d: DeltaNormal, p=_UNSET) -> DeltaNormal:
     # p divides φ^{-m}(x₁), so q = φ^m(p)\x₁ exists (a GarsideError otherwise)
     q = gm.left_quotient_index(gm.phi_index(p, d.m), d.factors[0])
     head = () if q is None else (q,)
-    return _renormalized(gm, d, d.m, head + d.factors[1:] + (p,))
+    obj = gm.family.elements[p].target
+    return _renormalized(gm, obj, d.m, head + d.factors[1:] + (p,))
 
 
-Key = tuple[int, tuple[int, ...]]
+# (m, factors, object): Δ^m with no factors is one state per object
+Key = tuple[int, tuple[int, ...], int]
 
 
 def _key(d: DeltaNormal) -> Key:
-    return (d.m, d.factors)
+    return (d.m, d.factors, d.source)
 
 
 def _product(gm: GarsideMap, idxs, source: int) -> SignedWord:
@@ -334,7 +341,7 @@ def sliding_circuit_set(gm: GarsideMap, g: SignedWord | Word) -> SlidingCircuitS
         next_frontier: list = []
         for key in sorted(frontier):
             node = nodes[key]
-            m, factors = key
+            m, factors, _ = key
             for s in gm.divisors.get(node.element.source, ()):
                 # s⁻¹·Δ^m·x₁⋯x_k·s = Δ^{m-1}·∂φ^{m-1}(s)·x₁⋯x_k·s
                 ds = gm.compl[gm.phi_index(s, m - 1)]

@@ -11,9 +11,9 @@ greatest-element search: for every composable pair (s, t), the family
 
     I(s, t) = { x : s.x is defined and x left-divides t in the germ }
 
-must have a greatest element H(s, t) under germ divisibility.  The table of
-these greatest elements becomes the head function of the generated category
-and drives normalization by local sweeps:
+must have a greatest element H(s, t) under germ divisibility.  These
+greatest elements are the head function of the generated category and drive
+normalization by local sweeps:
 
     (s, t)  ->  (s.H, H\\t)     until every junction has H = identity.
 
@@ -21,7 +21,9 @@ Divisor sets are kept as bitmasks over a length-sorted reindexing of the
 elements.  Because any grading is strictly monotone along proper division,
 the greatest element of a downward-closed family, when it exists, is simply
 the family's highest bit, which keeps recognition quadratic rather than
-cubic and lets meets and joins run in constant time per pair.
+cubic and lets meets and joins run in constant time per pair.  Recognition
+stores no heads: a sweep computes H(s, t) from the masks the first time it
+meets the pair and caches it under the key s*size + t.
 """
 
 from __future__ import annotations
@@ -266,14 +268,9 @@ class _Masks:
         return (self.rdef[si] | idbit) & self.div[ti]
 
 
-# head tables are stored eagerly only while the pair count stays small
-_EAGER_HEAD_LIMIT = 100_000
-
-
 @dataclasses.dataclass(frozen=True)
 class GermWitness:
-    verdict: str                              # "garside" | "not-garside"
-    head: dict[tuple[int, int], int] | None   # (s, t) -> greatest of I(s, t)
+    verdict: str  # "garside" | "not-garside"
     reason: str = ""
     data: tuple = ()
     masks: _Masks | None = dataclasses.field(default=None, repr=False, compare=False)
@@ -291,23 +288,17 @@ def is_garside_germ(g: Germ) -> GermWitness:
     """
     for (r, s), t in g.product.items():
         if g.is_identity(t) and not g.is_identity(r):
-            return GermWitness(
-                "not-garside", None, "nontrivial invertible pair", (r, s)
-            )
+            return GermWitness("not-garside", "nontrivial invertible pair", (r, s))
     seen: dict[tuple[int, int], int] = {}
     for (r, s), t in g.product.items():
         key = (r, t)
         other = seen.get(key)
         if other is not None and other != s:
-            return GermWitness(
-                "not-garside", None, "not left-cancellative", (r, other, s)
-            )
+            return GermWitness("not-garside", "not left-cancellative", (r, other, s))
         seen[key] = s
 
     m = _Masks(g)
     n = g.size
-    eager = n * n <= _EAGER_HEAD_LIMIT
-    head: dict[tuple[int, int], int] | None = {} if eager else None
     by_source: dict[int, list[int]] = {}
     for i in range(n):
         by_source.setdefault(m.src[i], []).append(i)
@@ -315,20 +306,15 @@ def is_garside_germ(g: Germ) -> GermWitness:
     for si in range(n):
         # I(s, t) = (right factors of s, identity) & div[t]; see _Masks.greatest
         right_of_s = m.rdef[si] | 1 << m.id_of_obj[m.tgt[si]]
-        s = order[si]
         for ti in by_source.get(m.tgt[si], ()):
             family = right_of_s & div[ti]
-            hi = family.bit_length() - 1
-            if not family or family & ~div[hi]:
+            if not family or family & ~div[family.bit_length() - 1]:
                 return GermWitness(
                     "not-garside",
-                    None,
                     "family I(s,t) has no greatest element",
-                    (s, order[ti]),
+                    (order[si], order[ti]),
                 )
-            if head is not None:
-                head[(s, order[ti])] = order[hi]
-    return GermWitness("garside", head, masks=m)
+    return GermWitness("garside", masks=m)
 
 
 def germ_category(g: Germ) -> Presentation:
@@ -363,7 +349,9 @@ def germ_category(g: Germ) -> Presentation:
 class GermStructure:
     """
     Operational tables over a certified Garside germ: divisibility, heads of
-    pairs, quotients, meets/joins, and the normalization sweep.
+    pairs, quotients, meets/joins, and the normalization sweep.  Heads are
+    computed on demand from the divisor masks and cached in `_head_memo`
+    under the key s*size + t, the only head cache.
     """
 
     def __init__(self, germ: Germ, witness: GermWitness):
@@ -381,7 +369,6 @@ class GermStructure:
             self.lam[t] == self.lam[r] + self.lam[s]
             for (r, s), t in germ.product.items()
         )
-        self._head = witness.head
         self._size = germ.size
         self._head_memo: dict[int, int] = {}  # s*size + t -> head
         self._is_identity = [False] * germ.size
@@ -436,8 +423,6 @@ class GermStructure:
 
     def head_of_pair(self, s: int, t: int) -> int:
         """Greatest x with s.x defined and x dividing t."""
-        if self._head is not None:
-            return self._head[(s, t)]
         key = s * self._size + t
         cached = self._head_memo.get(key)
         if cached is None:
@@ -456,7 +441,8 @@ class GermStructure:
         Terminates because each move strictly grows the left factor.
         """
         is_id = self._is_identity
-        head = self._head
+        memo = self._head_memo
+        size = self._size
         prod = self.prod
         left_quot = self.left_quot
         factors = [x for x in seq if not is_id[x]]
@@ -464,7 +450,9 @@ class GermStructure:
         i = 0
         while i < last:
             s, t = factors[i], factors[i + 1]
-            h = head[(s, t)] if head is not None else self.head_of_pair(s, t)
+            h = memo.get(s * size + t)
+            if h is None:
+                h = self.head_of_pair(s, t)
             if is_id[h]:
                 i += 1
                 continue
@@ -649,14 +637,6 @@ class GermContext(CategoryContext):
         if isinstance(r, rev.Diverged):
             return INCONCLUSIVE
         return Word(u.letters + r.pos.letters, u.source, r.pos.target)
-
-    def word_equal_via_reversing(self, u: Word, v: Word):
-        r = rev.reverses_to_empty(
-            self.germ_complement(), u, v, self.limits.fuel(len(u) + len(v))
-        )
-        if isinstance(r, (rev.Stuck, rev.Diverged)):
-            return INCONCLUSIVE
-        return r
 
 
 # -- germs from groups ----------------------------------------------------------

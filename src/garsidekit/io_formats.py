@@ -27,7 +27,13 @@ import dataclasses
 import re
 
 from . import reversing as rev
-from .bounded import GarsideMap, Unbounded, _divisor_family, build_garside_map
+from .bounded import (
+    GarsideMap,
+    Unbounded,
+    _divisor_family,
+    build_garside_map,
+    germ_family,
+)
 from .config import DEFAULT_LIMITS, Limits
 from .contexts import PresentedContext
 from .core import (
@@ -504,10 +510,7 @@ def build_structure(doc: StructureDoc, limits: Limits = DEFAULT_LIMITS) -> Loade
 def build_germ(doc: GermDoc, limits: Limits = DEFAULT_LIMITS) -> Loaded:
     germ = germ_from_doc(doc)
     ctx = GermContext(germ, limits)
-    family = GarsideFamily(
-        ctx, [ctx.presentation.word([g.id]) for g in ctx.presentation.generators]
-    )
-    built = build_garside_map(ctx, family)
+    family, built = germ_family(ctx)
     gm, unbounded = (None, built) if isinstance(built, Unbounded) else (built, None)
     return Loaded("germ", ctx, family, gm, doc, unbounded)
 

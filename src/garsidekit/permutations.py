@@ -56,26 +56,9 @@ def reflection_length(f: tuple[int, ...]) -> int:
     return len(f) - cycle_count(f)
 
 
-def adjacent_transposition(n: int, i: int) -> tuple[int, ...]:
-    """Swap positions i and i+1."""
-    out = list(range(n))
-    out[i], out[i + 1] = out[i + 1], out[i]
-    return tuple(out)
-
-
-def transposition(n: int, i: int, j: int) -> tuple[int, ...]:
-    out = list(range(n))
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
-
-
 def long_cycle(n: int) -> tuple[int, ...]:
     """The n-cycle 0 -> 1 -> ... -> n-1 -> 0."""
     return tuple((i + 1) % n for i in range(n))
-
-
-def longest_element(n: int) -> tuple[int, ...]:
-    return tuple(range(n - 1, -1, -1))
 
 
 def shortlex_word(f: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,25 +101,6 @@ def cycles_of(f: tuple[int, ...]) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def is_noncrossing(f: tuple[int, ...], n: int) -> bool:
-    """
-    Whether every cycle of f is increasing when read from its minimum and
-    the cycles are pairwise noncrossing as chords of a convex n-gon.
-    """
-    cycles = cycles_of(f)
-    for cyc in cycles:
-        if list(cyc) != sorted(cyc):
-            return False
-    for a, b in itertools.combinations(cycles, 2):
-        for x1, x2 in itertools.combinations(a, 2):
-            for y1, y2 in itertools.combinations(b, 2):
-                # chords (x1,x2) and (y1,y2) cross iff exactly one of y1,y2
-                # lies strictly between x1 and x2
-                if (x1 < y1 < x2) != (x1 < y2 < x2):
-                    return False
-    return True
-
-
 __all__ = [
     "identity",
     "compose",
@@ -145,11 +109,7 @@ __all__ = [
     "inversions",
     "cycle_count",
     "reflection_length",
-    "adjacent_transposition",
-    "transposition",
     "long_cycle",
-    "longest_element",
     "shortlex_word",
     "cycles_of",
-    "is_noncrossing",
 ]

@@ -22,6 +22,9 @@ used before its two-stack scan: it reads every cell through
 Next is the dense germ validation that `garsidekit.germs.validate_germ`
 ran before it checked associativity over defined products only: it visits
 every composable triple and serves as the reference for its verdicts.
+Beside it, the head of a pair is found by search over the product table,
+without the divisor bitmasks, as the reference for
+`GermStructure.head_of_pair`.
 The last is the word-level arm of `GarsideMap` from before every map read
 the germ Div(Δ): complements, φ, quotients, meets and normal forms of
 divisor sequences, all through context quotients, divisibility and the
@@ -329,7 +332,7 @@ def word_sliding_circuits(gm, g):
     from garsidekit.core import concat_signed, free_reduce, signed_from_word
 
     def key(d):
-        return (d.m, d.factors)
+        return (d.m, d.factors, d.source)
 
     def to_circuit(d):
         seen = set()
@@ -512,6 +515,29 @@ def dense_validate_germ(g):
                         if rs is None or prod.get((rs, t)) != r_st:
                             return Violation("associativity", (r, s, t))
     return Valid(checked)
+
+
+@functools.lru_cache(maxsize=8)
+def _dense_left_divisors(g) -> list[frozenset[int]]:
+    """left[t]: every x with x·y = t for some y, read off the product table."""
+    left: list[set[int]] = [set() for _ in range(g.size)]
+    for (x, _), t in g.product.items():
+        left[t].add(x)
+    return [frozenset(d) for d in left]
+
+
+def dense_germ_head(g, s, t):
+    """
+    H(s, t) by search over the product table: the x with s·x defined and x
+    dividing t that every other such x divides; None when there is none.
+    """
+    left = _dense_left_divisors(g)
+    family = [x for x in left[t] if (s, x) in g.product]
+    if not family:
+        return None
+    # a greatest element has every member below it, so the most divisors
+    top = max(family, key=lambda x: len(left[x]))
+    return top if left[top].issuperset(family) else None
 
 
 # --- word-level Garside-map arms --------------------------------------------

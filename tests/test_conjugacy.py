@@ -9,7 +9,7 @@ import random
 import pytest
 
 import garsidekit.conjugacy as conjugacy
-from garsidekit.bounded import build_garside_map, delta_normalize
+from garsidekit.bounded import build_garside_map, delta_normalize, germ_family
 from garsidekit.conjugacy import (
     No,
     SlideMemo,
@@ -25,12 +25,14 @@ from garsidekit.conjugacy import (
     sliding_circuit_set,
 )
 from garsidekit.contexts import PresentedContext
-from garsidekit.core import SignedWord, signed_from_word
+from garsidekit.core import ObjectId, SignedWord, concat, signed_from_word
 from garsidekit.errors import ExplosionGuard
 from garsidekit.garside import GarsideFamily
+from garsidekit.germs import FiniteGroup, Germ, GermContext, GermElement
 
 import oracles
 from conftest import monoid_presentation
+from test_germs import sym_group
 
 DIV_COUNT = 6  # divisors of aba, identity included
 
@@ -45,7 +47,7 @@ def _chars(ctx, sw):
 
 
 def _key(d):
-    return (d.m, d.factors)
+    return (d.m, d.factors, d.source)
 
 
 def _word_of(gm, d):
@@ -191,7 +193,7 @@ def test_slide_to_circuit_conjugator_verifies(b3_ctx, b3_gm):
 
 def test_scs_of_atom(b3_ctx, b3_gm):
     scs = sliding_circuit_set(b3_gm, b3_ctx.parse("a"))
-    assert scs.keys() == {(0, (0,)), (0, (1,))}
+    assert scs.keys() == {(0, (0,), 0), (0, (1,), 0)}
     assert {n.element.display() for n in scs.nodes} == {"a", "b"}
 
 
@@ -201,7 +203,7 @@ def test_scs_of_central_power_is_singleton(b3_ctx, b3_gm):
         assert oracles.equal_words("abaaba" + g, g + "abaaba", oracles.B3_RELS)
     scs = sliding_circuit_set(b3_gm, b3_ctx.parse("abaaba"))
     assert len(scs.nodes) == 1
-    assert scs.keys() == {(2, ())}
+    assert scs.keys() == {(2, (), 0)}
 
 
 def test_scs_commutative_singletons(n2_ctx, n2_gm):
@@ -495,3 +497,112 @@ def test_sliding_circuit_set_reads_only_the_table(b3_ctx, b3_gm, monkeypatch):
     scs = sliding_circuit_set(b3_gm, _signed(b3_ctx, "a b^-1 b^-1 a"))
     assert len(scs.nodes) > 1
     assert calls == []
+
+
+# --- several objects: the ribbon groupoid of A3 ------------------------------------
+
+
+def a3_ribbon_germ() -> tuple[Germ, list[int], FiniteGroup]:
+    """
+    Ribbons of W(A3) = S4: one object per subset I of {a, b, c}, and as
+    elements I -> J the left-I-reduced w with w⁻¹·I·w = J.  A product is
+    defined when the lengths add.  Returns the germ, the group element of
+    each germ element, and the group.
+    """
+    group, lengths, _ = sym_group(4, "abc")
+    mult, inv, names = group.mult, group.inv, group.names
+    simple = {ch: names.index(ch) for ch in "abc"}
+    subsets = [frozenset(c) for k in range(4) for c in itertools.combinations("abc", k)]
+    objects = [ObjectId(i, "".join(sorted(s)) or "0") for i, s in enumerate(subsets)]
+    found = []  # (source object, group element, target object)
+    for i, I in enumerate(subsets):
+        for w in range(group.size):
+            if any(lengths[mult[simple[s]][w]] < lengths[w] for s in I):
+                continue
+            J = {names[mult[mult[inv[w]][simple[s]]][w]] for s in I}
+            if J <= set("abc"):
+                found.append((i, w, subsets.index(frozenset(J))))
+    at = {(i, w): k for k, (i, w, _) in enumerate(found)}
+    elements = [
+        GermElement(k, f"{names[w]}_{objects[i].name}", i, j)
+        for k, (i, w, j) in enumerate(found)
+    ]
+    product = {}
+    for r, (i, w, j) in enumerate(found):
+        for s, (j2, v, _) in enumerate(found):
+            if j2 == j and lengths[mult[w][v]] == lengths[w] + lengths[v]:
+                product[(r, s)] = at[(i, mult[w][v])]
+    identities = [at[(i, group.identity)] for i in range(len(subsets))]
+    germ = Germ(objects, elements, identities, product, [lengths[w] for _, w, _ in found])
+    return germ, [w for _, w, _ in found], group
+
+
+def _random_path(ctx, rng, start: int, length: int) -> SignedWord:
+    gens = ctx.presentation.generators
+    letters, cur = [], start
+    for _ in range(length):
+        steps = [(g.id, 1) for g in gens if g.source == cur]
+        steps += [(g.id, -1) for g in gens if g.target == cur]
+        g, e = rng.choice(steps)
+        letters.append((g, e))
+        cur = gens[g].target if e > 0 else gens[g].source
+    return SignedWord(tuple(letters), start, cur)
+
+
+def test_conjugacy_on_the_a3_ribbon_groupoid():
+    germ, value, group = a3_ribbon_germ()
+    assert (germ.size, len(germ.objects)) == (49, 8)
+    ctx = GermContext(germ)
+    _, gm = germ_family(ctx)
+    gens = ctx.presentation.generators
+
+    def image(sw):
+        """The element of S4 a signed word maps to."""
+        x = group.identity
+        for g, e in sw.letters:
+            v = value[ctx.elem_of_gen[g]]
+            x = group.mult[x][v if e > 0 else group.inv[v]]
+        return x
+
+    component = list(range(len(germ.objects)))
+    for e in germ.elements:
+        a, b = component[e.source], component[e.target]
+        component = [a if c == b else c for c in component]
+
+    rng = random.Random("a3-ribbons")
+    loops = []
+    for obj in range(len(germ.objects)):
+        if not any(g.source == obj for g in gens):
+            continue  # {a, b, c}: only the identity starts there
+        for _ in range(60):
+            w = _random_path(ctx, rng, obj, rng.randint(1, 4))
+            if w.target == obj and w not in loops:
+                loops.append(w)
+    assert len(loops) > 100
+    for g in loops:
+        shown = ctx.presentation.display_signed(g)
+        scs = sliding_circuit_set(gm, g)
+        for node in scs.nodes:
+            assert component[node.element.source] == component[g.source], shown
+        c = _random_path(ctx, rng, g.source, rng.randint(1, 3))
+        h = conj(ctx, g, c)
+        got = are_conjugate(gm, g, h)
+        assert isinstance(got, Yes), shown
+        x = got.witness
+        assert (x.source, x.target) == (g.source, h.source), shown
+        assert image(conj(ctx, g, x)) == image(h), shown
+        assert signed_equal(gm, conj(ctx, g, x), h), shown
+
+
+def test_delta_powers_at_two_objects_are_two_nodes():
+    """Δ² is a loop at each of {a}, {b} and {c}, and the three are
+    conjugate by ribbons: one sliding-circuit set with a node at each."""
+    germ, _, _ = a3_ribbon_germ()
+    ctx = GermContext(germ)
+    _, gm = germ_family(ctx)
+    names = [o.name for o in germ.objects]
+    delta = gm.delta_word(names.index("a"))
+    d2 = concat(delta, gm.delta_word(delta.target))
+    scs = sliding_circuit_set(gm, d2)
+    assert [n.element.display() for n in scs.nodes] == ["D^2"] * 3
+    assert sorted(names[n.element.source] for n in scs.nodes) == ["a", "b", "c"]

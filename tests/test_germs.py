@@ -285,7 +285,6 @@ def test_s3_category_word_problem_matches_closure_oracle():
 def test_s3_germ_is_garside():
     w = is_garside_germ(s3_germ())
     assert w.is_garside
-    assert w.head  # the head table drives normalization later
 
 
 def test_n2_divisor_germ_is_garside():
@@ -375,15 +374,16 @@ def test_germ_heights_match_lengths():
 
 
 def test_witness_head_matches_family_head_on_pairs(entry):
-    """The recognizer's head table, read through the generated category,
-    is the garside module's head on two-letter words."""
+    """The germ structure's heads of pairs, read through the generated
+    category, are the garside module's head on two-letter words."""
     ent = entry("braid:3")
     ctx, fam = ent.context, ent.family
     germ = ctx.germ
-    witness = is_garside_germ(germ)
-    for (s, t), h in witness.head.items():
-        if germ.is_identity(s) or germ.is_identity(t):
+    nontrivial = [x for x in range(germ.size) if not germ.is_identity(x)]
+    for s, t in itertools.product(nontrivial, repeat=2):
+        if not germ.composable(s, t):
             continue
+        h = ctx.structure.head_of_pair(s, t)
         w = ctx.parse(f"{germ.elements[s].name} {germ.elements[t].name}")
         head_idx = fam.head(w)
         got = fam.elements[head_idx]
@@ -415,3 +415,67 @@ def test_normalize_agrees_between_strategies_on_longer_words(entry):
         assert [
             ctx.show(fast.elements[i]) for i in nf.factors
         ] == [ctx.show(slow.elements[i]) for i in ns.factors]
+
+
+# --- heads on demand ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", SMALL_GERM_KEYS)
+def test_head_of_pair_matches_dense_head(entry, key):
+    """Heads read from the divisor masks agree with a search over the
+    product table, on every composable pair of the germ and its mirror."""
+    ctx = entry(key).context
+    for c in (ctx, ctx.mirror()):
+        g = c.germ
+        for s, t in itertools.product(range(g.size), repeat=2):
+            if not g.composable(s, t):
+                continue
+            want = oracles.dense_germ_head(g, s, t)
+            assert c.structure.head_of_pair(s, t) == want, (key, s, t)
+
+
+def test_head_of_pair_matches_dense_head_on_braid6(entry):
+    ctx = entry("braid:6").context
+    rng = random.Random(6)
+    n = ctx.germ.size
+    # one object, so every pair is composable
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    for c in (ctx, ctx.mirror()):
+        for s, t in pairs:
+            want = oracles.dense_germ_head(c.germ, s, t)
+            assert c.structure.head_of_pair(s, t) == want, (s, t)
+
+
+def _reference_sweep(g: Germ, seq):
+    """The normalization sweep on dense heads; (result, pairs visited)."""
+    quot = {(r, t): x for (r, x), t in g.product.items()}
+    factors = [x for x in seq if not g.is_identity(x)]
+    visited = set()
+    i = 0
+    while i < len(factors) - 1:
+        s, t = factors[i], factors[i + 1]
+        visited.add((s, t))
+        h = oracles.dense_germ_head(g, s, t)
+        if g.is_identity(h):
+            i += 1
+            continue
+        factors[i] = g.product[(s, h)]
+        if h == t:
+            del factors[i + 1]
+        else:
+            factors[i + 1] = quot[(h, t)]
+        i = max(i - 1, 0)
+    return tuple(factors), visited
+
+
+def test_head_memo_fills_only_with_visited_pairs(entry):
+    germ = entry("braid:4").context.germ
+    st = GermContext(germ).structure
+    assert st._head_memo == {}
+    rng = random.Random(4)
+    seq = [rng.randrange(germ.size) for _ in range(40)]
+    want, visited = _reference_sweep(germ, seq)
+    assert st.normalize(seq) == want
+    assert st._head_memo == {
+        s * germ.size + t: oracles.dense_germ_head(germ, s, t) for s, t in visited
+    }
