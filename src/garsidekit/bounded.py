@@ -78,7 +78,7 @@ class GarsideMap:
         self.ctx = ctx
         self.family = family
         self.structure = structure
-        self.delta = delta  # object -> family index of Δ(object)
+        self.delta = delta  # object -> family index of Δ(object), none where Δ = 1
         elements = family.elements
         by_source: dict[int, list[int]] = {}
         for i, e in enumerate(elements):
@@ -109,7 +109,9 @@ class GarsideMap:
     # -- word-level API ----------------------------------------------------------
 
     def delta_word(self, obj: int) -> Word:
-        return self.family.elements[self.delta[obj]]
+        """Δ(obj); the empty word where only the identity starts (Δ = 1)."""
+        i = self.delta.get(obj)
+        return empty_word(obj) if i is None else self.family.elements[i]
 
     def complement(self, g: Word) -> Word:
         """∂g with g·∂g = Δ(source of g)."""
@@ -227,9 +229,10 @@ def _enumerate_divisors(ctx: CategoryContext, dw: Word, obj: int):
     words: list[Word] = [empty_word(obj)]
     steps: list[dict[int, int]] = [{}]
     frontier = [0]
+    # relations that keep length leave only this level's words to compare
+    homogeneous = ctx.presentation.homogeneous
     while frontier:
-        # relations that keep length leave only this level's words to compare
-        first = len(words) if ctx.presentation.homogeneous else 1
+        first = len(words) if homogeneous else 1
         new = []
         for j in frontier:
             w = words[j]

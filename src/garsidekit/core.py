@@ -149,23 +149,33 @@ class Presentation:
         generators: Sequence[Generator],
         relations: Sequence[tuple[Word, Word]],
     ):
+        self._set_generators(objects, generators)
+        self.relations = self._checked_relations(relations)
+
+    def _set_generators(
+        self, objects: Sequence[ObjectId], generators: Sequence[Generator]
+    ):
         self.objects = tuple(objects)
         self.generators = tuple(generators)
-        self.relations = tuple(relations)
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise GarsideError("duplicate generator names")
         self.by_name = {g.name: g for g in self.generators}
         self.single_char = all(len(n) == 1 for n in names)
-        for lhs, rhs in self.relations:
+
+    def _checked_relations(
+        self, relations: Iterable[tuple[Word, Word]]
+    ) -> tuple[tuple[Word, Word], ...]:
+        """The relations as a tuple, once both sides of each share their
+        endpoints and every side composes over the generators."""
+        relations = tuple(relations)
+        for lhs, rhs in relations:
             if lhs.source != rhs.source or lhs.target != rhs.target:
                 raise GarsideError("relation sides have different endpoints")
-        self._check_words()
-
-    def _check_words(self):
-        for lhs, rhs in self.relations:
+        for lhs, rhs in relations:
             for w in (lhs, rhs):
                 self.validate_word(w)
+        return relations
 
     def validate_word(self, w: Word):
         at = w.source

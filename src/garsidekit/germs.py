@@ -4,10 +4,13 @@ and germs derived from a group with a length function.
 
 A germ is a finite family with identities and a partial product that is
 associative wherever defined.  It generates a category (one generator per
-nontrivial element, one relation r*s = t per defined product r.s = t), and
-the germ is a *Garside germ* when that category admits the germ as a
-Garside family.  The recognition criterion implemented here is exhaustive
-greatest-element search: for every composable pair (s, t), the family
+nontrivial element, one relation r*s = t per defined product r.s = t).
+Queries run on the product table, not on those relations, so
+`germ_category` builds and validates them on first read; the checks that
+can fail still run at the call.  The germ is a *Garside germ* when that
+category admits the germ as a Garside family.  The recognition criterion
+implemented here is exhaustive greatest-element search: for every
+composable pair (s, t), the family
 
     I(s, t) = { x : s.x is defined and x left-divides t in the germ }
 
@@ -29,6 +32,7 @@ meets the pair and caches it under the key s*size + t.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -317,33 +321,93 @@ def is_garside_germ(g: Germ) -> GermWitness:
     return GermWitness("garside", masks=m)
 
 
+class _GermPresentation(Presentation):
+    """
+    The presentation `germ_category` returns.  Objects and generators are
+    built with it; the relations, one per defined nontrivial product, are
+    built the first time `relations` is read and then checked as any
+    presentation's are.
+    """
+
+    def __init__(
+        self,
+        germ: Germ,
+        generators: Sequence[Generator],
+        gen_of_elem: dict[int, int],
+        homogeneous: bool,
+    ):
+        self._set_generators(germ.objects, generators)
+        self._germ = germ
+        self.gen_of_elem = gen_of_elem  # germ element -> generator id
+        self._homogeneous = homogeneous
+
+    @property
+    def homogeneous(self) -> bool:
+        # relations read r*s = t, two letters against one, so the
+        # presentation is homogeneous exactly when it has none
+        return self._homogeneous
+
+    @functools.cached_property
+    def relations(self) -> tuple[tuple[Word, Word], ...]:
+        g = self._germ
+        gen_of_elem = self.gen_of_elem
+        rels: list[tuple[Word, Word]] = []
+        for (r, s), t in sorted(g.product.items()):
+            if g.is_identity(r) or g.is_identity(s):
+                continue
+            if g.is_identity(t):
+                raise ValidationError(
+                    "germ has a nontrivial invertible pair; not supported"
+                )
+            lhs = Word(
+                (gen_of_elem[r], gen_of_elem[s]),
+                g.elements[r].source,
+                g.elements[s].target,
+            )
+            rhs = Word((gen_of_elem[t],), g.elements[t].source, g.elements[t].target)
+            rels.append((lhs, rhs))
+        return self._checked_relations(rels)
+
+
 def germ_category(g: Germ) -> Presentation:
     """
     The category presented by the germ: one generator per nontrivial
     element, one relation r*s = t per defined nontrivial product.
+
+    Objects and generators are built here; the relations are built and
+    validated when `relations` is first read.  The checks that can fail
+    still run here: one scan of the product table, which builds no word,
+    finds any nontrivial invertible pair and any product whose relation
+    would have sides with different endpoints or a left side that does not
+    compose, and then building the relations raises the error they raise.
     """
-    nontrivial = [e for e in g.elements if not g.is_identity(e.id)]
     gen_of_elem: dict[int, int] = {}
     gens: list[Generator] = []
-    for e in nontrivial:
-        gen_of_elem[e.id] = len(gens)
-        gens.append(Generator(len(gens), e.name, e.source, e.target))
-    rels: list[tuple[Word, Word]] = []
-    for (r, s), t in sorted(g.product.items()):
-        if g.is_identity(r) or g.is_identity(s):
+    for e in g.elements:
+        if not g.is_identity(e.id):
+            gen_of_elem[e.id] = len(gens)
+            gens.append(Generator(len(gens), e.name, e.source, e.target))
+    elements = g.elements
+    identities = g.identity_set
+    homogeneous = True
+    defective = False
+    for (r, s), t in g.product.items():
+        if r in identities or s in identities:
             continue
-        if g.is_identity(t):
-            raise ValidationError(
-                "germ has a nontrivial invertible pair; not supported"
-            )
-        lhs = Word(
-            (gen_of_elem[r], gen_of_elem[s]),
-            g.elements[r].source,
-            g.elements[s].target,
-        )
-        rhs = Word((gen_of_elem[t],), g.elements[t].source, g.elements[t].target)
-        rels.append((lhs, rhs))
-    return Presentation(g.objects, gens, rels)
+        homogeneous = False
+        er, es, et = elements[r], elements[s], elements[t]
+        if (
+            t in identities
+            or er.target != es.source
+            or er.source != et.source
+            or es.target != et.target
+        ):
+            defective = True
+            break
+    p = _GermPresentation(g, gens, gen_of_elem, homogeneous)
+    if defective:
+        p.relations  # building and checking the relations raises
+    return p
 
 
 class GermStructure:
@@ -518,8 +582,8 @@ class GermContext(CategoryContext):
         self.limits = limits
         self.presentation = germ_category(germ)
         # germ_category makes one generator per nontrivial element, in order
-        self.elem_of_gen = [e.id for e in germ.elements if not germ.is_identity(e.id)]
-        self.gen_of_elem = {e: i for i, e in enumerate(self.elem_of_gen)}
+        self.gen_of_elem = self.presentation.gen_of_elem
+        self.elem_of_gen = list(self.gen_of_elem)
         lam = self.structure.lam
         self.noetherian = all(
             lam[e.id] > 0 for e in germ.elements if not germ.is_identity(e.id)

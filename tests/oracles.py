@@ -8,7 +8,7 @@ package under test.  The closure routines require homogeneous relations
 compute full congruence classes at fixed length by exhaustive rewriting, so
 answers are exact.
 
-The last four sections import the package.  One is the word-level
+The last five sections import the package.  One is the word-level
 sliding-circuit BFS that `garsidekit.conjugacy` used before it moved to
 factor tables.  It goes through words, `GarsideMap.phi`, context left
 quotients and the signed `delta_normalize` for every slide and candidate,
@@ -25,10 +25,13 @@ every composable triple and serves as the reference for its verdicts.
 Beside it, the head of a pair is found by search over the product table,
 without the divisor bitmasks, as the reference for
 `GermStructure.head_of_pair`.
-The last is the word-level arm of `GarsideMap` from before every map read
+Then comes the word-level arm of `GarsideMap` from before every map read
 the germ Div(Δ): complements, φ, quotients, meets and normal forms of
 divisor sequences, all through context quotients, divisibility and the
 family's head extraction.  It is the reference for the table.
+The last is the eager `germ_category`, which built and checked every
+relation at the call: the reference for the presentation that builds its
+relations on first read.
 """
 
 from __future__ import annotations
@@ -615,3 +618,38 @@ def word_meet(gm, i, j):
     if common:
         raise GarsideError("common divisors have no greatest element")
     return None
+
+
+# --- eager germ presentation ---------------------------------------------------
+
+
+def eager_germ_category(g):
+    """
+    The category presented by the germ, with every relation r*s = t built
+    as words and checked by the `Presentation` constructor at the call.
+    """
+    from garsidekit.core import Generator, Presentation, Word
+    from garsidekit.errors import ValidationError
+
+    nontrivial = [e for e in g.elements if not g.is_identity(e.id)]
+    gen_of_elem: dict[int, int] = {}
+    gens: list[Generator] = []
+    for e in nontrivial:
+        gen_of_elem[e.id] = len(gens)
+        gens.append(Generator(len(gens), e.name, e.source, e.target))
+    rels = []
+    for (r, s), t in sorted(g.product.items()):
+        if g.is_identity(r) or g.is_identity(s):
+            continue
+        if g.is_identity(t):
+            raise ValidationError(
+                "germ has a nontrivial invertible pair; not supported"
+            )
+        lhs = Word(
+            (gen_of_elem[r], gen_of_elem[s]),
+            g.elements[r].source,
+            g.elements[s].target,
+        )
+        rhs = Word((gen_of_elem[t],), g.elements[t].source, g.elements[t].target)
+        rels.append((lhs, rhs))
+    return Presentation(g.objects, gens, rels)

@@ -25,7 +25,13 @@ from garsidekit.conjugacy import (
     sliding_circuit_set,
 )
 from garsidekit.contexts import PresentedContext
-from garsidekit.core import ObjectId, SignedWord, concat, signed_from_word
+from garsidekit.core import (
+    ObjectId,
+    SignedWord,
+    concat,
+    empty_word,
+    signed_from_word,
+)
 from garsidekit.errors import ExplosionGuard
 from garsidekit.garside import GarsideFamily
 from garsidekit.germs import FiniteGroup, Germ, GermContext, GermElement
@@ -592,6 +598,17 @@ def test_conjugacy_on_the_a3_ribbon_groupoid():
         assert (x.source, x.target) == (g.source, h.source), shown
         assert image(conj(ctx, g, x)) == image(h), shown
         assert signed_equal(gm, conj(ctx, g, x), h), shown
+
+
+def test_delta_is_the_empty_word_where_only_the_identity_starts():
+    germ, _, _ = a3_ribbon_germ()
+    _, gm = germ_family(GermContext(germ))
+    for obj in range(len(germ.objects)):
+        d = gm.delta_word(obj)
+        assert (d.source, d.target) == (obj, gm.phi_object(obj, 1))
+        assert gm.complement(empty_word(obj)) == d
+    top = [o.name for o in germ.objects].index("abc")
+    assert gm.delta_word(top) == empty_word(top)
 
 
 def test_delta_powers_at_two_objects_are_two_nodes():
