@@ -17,9 +17,10 @@ once, compiled into a germ, and certified by the germ recognizer.  ∂, φ,
 quotients, meets and normal forms of divisor sequences then make no
 context call.
 
-Negative input is handled by the fraction route: a signed word is first
-expressed as d⁻¹·n, d is padded into a power of Δ, and the Δ⁻ᵖ is commuted
-to the front through φ⁻ᵖ, letterwise.
+Δ-normal forms are read from the same table: a word is one germ sweep over
+its generators' divisors.  A signed word is first written d⁻¹·n; when d is
+normal as d₁⋯d_p, d⁻¹ = Δ⁻ᵖ·φ⁻ᵖ(∂d_p)⋯φ⁻¹(∂d₁) (ElRifai & Morton, Quart. J.
+Math. 45, 1994), so the sweep runs over those divisors, then n's.
 """
 
 from __future__ import annotations
@@ -103,8 +104,11 @@ class GarsideMap:
         # φ on objects: Δ(x) runs from x to φ(x); an object without Δ is fixed
         self._phi_obj = {x: elements[i].target for x, i in delta.items()}
         self._phi_obj_inv = {y: x for x, y in self._phi_obj.items()}
-        # divisor index of each generator, None for letters outside Div(Δ)
-        self._gen_divisor = [None if e is None else self._gen[e] for e in letter_elem]
+        # divisor indices of each generator: (i,) inside Div(Δ); outside it,
+        # None until `_divisors_of` first reads its family normal form
+        self._letter_divs: list[tuple[int, ...] | None] = [
+            None if e is None else (self._gen[e],) for e in letter_elem
+        ]
 
     # -- word-level API ----------------------------------------------------------
 
@@ -127,22 +131,15 @@ class GarsideMap:
 
     def phi(self, g: Word, power: int = 1) -> Word:
         """
-        φ^power(g), extended letterwise: φ is a functor and permutes the
-        divisors, so mapping each letter through the index table suffices.
+        φ^power(g): φ is a functor and permutes the divisors, so mapping each
+        of g's divisors through the index table suffices.
         """
         if power == 0:
             return g
-        if g.is_empty:
-            return empty_word(self.phi_object(g.source, power))
-        gens = self.ctx.presentation.generators
         elements = self.family.elements
-        letters: list[int] = []
-        for letter in g.letters:
-            i = self._gen_divisor[letter]
-            if i is None:
-                raise NotADivisor(gens[letter].name)
-            letters.extend(elements[self.phi_index(i, power)].letters)
-        return Word(tuple(letters), gens[letters[0]].source, gens[letters[-1]].target)
+        divs = [elements[self.phi_index(i, power)] for i in self._divisors_of(g)]
+        letters = tuple(x for e in divs for x in e.letters)
+        return Word(letters, self.phi_object(g.source, power), self.phi_object(g.target, power))
 
     def phi_object(self, obj: int, power: int) -> int:
         """φ^power of an object."""
@@ -152,6 +149,19 @@ class GarsideMap:
         return obj
 
     # -- index-level API: divisors as family indices, None the identity --------
+
+    def _divisors_of(self, w: Word) -> list[int]:
+        """Divisor indices whose product is w, one run per letter."""
+        table = self._letter_divs
+        out: list[int] = []
+        for g in w.letters:
+            run = table[g]
+            if run is None:
+                # a letter outside Div(Δ): its family normal form, read once
+                word = self.ctx.presentation.word([g])
+                run = table[g] = self.family.normalize(word).factors
+            out += run
+        return out
 
     def phi_index(self, i: int, power: int) -> int:
         """φ^power of the divisor with index i."""
@@ -431,39 +441,28 @@ class DeltaNormal:
 
 def delta_normalize(gm: GarsideMap, w: SignedWord | Word) -> DeltaNormal:
     """
-    Maximal-inf Δ-normal form.  Positive input: normalize and strip leading
-    Δ factors.  Signed input: express as d⁻¹·n, pad d to Δ^p, and commute
-    Δ⁻ᵖ to the front through φ⁻ᵖ.
+    Maximal-inf Δ-normal form by one germ sweep.  Positive input: the sweep
+    runs over its letters' divisors.  Signed input: express it as d⁻¹·n and
+    normalise d to Δ^l·d₁⋯d_q; with p = l + q,
+    d⁻¹ = Δ⁻ᵖ·φ^{−p}(∂d_q)⋯φ^{−l−1}(∂d₁), so the sweep runs over those
+    divisors followed by n's, and m starts at −p.
     """
     if isinstance(w, Word):
         w = signed_from_word(w)
-    ctx = gm.ctx
-    family = gm.family
     if w.is_positive:
-        pos = w.positive_part()
-        shift = 0
-        n = pos
+        shift, seq = 0, gm._divisors_of(w.positive_part())
     else:
-        fr = left_fraction(ctx, w)
+        fr = left_fraction(gm.ctx, w)
         if isinstance(fr, rev.Stuck):
             raise UnsupportedError("no fraction available: missing common multiples")
         if isinstance(fr, rev.Diverged):
             raise UnsupportedError("fraction search ran out of fuel")
-        d, npart = fr
-        p = len(family.normalize(d).factors)
-        if p == 0:
-            shift = 0
-            n = npart
-        else:
-            dpow = empty_word(d.source)
-            for _ in range(p):
-                dpow = concat(dpow, gm.delta_word(dpow.target))
-            e = ctx.left_quotient(d, dpow)
-            if e is None or e is INCONCLUSIVE:
-                raise GarsideError("padding failed: d does not divide its Δ-power")
-            shift = -p
-            n = concat(gm.phi(e, -p), npart)
-    lead, factors = gm.strip_delta(family.normalize(n).factors)
+        d, n = fr
+        lead, dfac = gm.normal_factors(gm._divisors_of(d))
+        shift = -(lead + len(dfac))
+        seq = [gm.phi_index(gm.compl[f], k + shift) for k, f in enumerate(reversed(dfac))]
+        seq += gm._divisors_of(n)
+    lead, factors = gm.normal_factors(seq)
     return DeltaNormal(gm, shift + lead, factors, w.source, w.target)
 
 

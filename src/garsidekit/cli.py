@@ -202,12 +202,10 @@ def _run_check(args, limits: Limits) -> int:
         except GarsideError as e:
             lines["validate"] = "FAIL"
             notes.append(f"validate: {e}")
-        family = None
         if ctx is not None and doc.garside is not None:
             try:
-                loaded = iof.build_structure(doc, limits)
-                family = loaded.family
-                verdict = is_garside_family(ctx, family)
+                loaded = iof._structure_on(ctx, doc)
+                verdict = is_garside_family(ctx, loaded.family)
                 if verdict.ok:
                     lines["is_garside_family"] = "PASS"
                 else:

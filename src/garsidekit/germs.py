@@ -426,14 +426,13 @@ class GermStructure:
         self.masks = witness.masks
         self.lam = self.masks.lam
         self.prod = germ.product
-        self.left_quot: dict[tuple[int, int], int] = {}
-        for (r, x), t in germ.product.items():
-            self.left_quot[(r, t)] = x
+        self._size = size = germ.size
+        # r*size + t -> the x with r.x = t
+        self.left_quot = {r * size + t: x for (r, x), t in germ.product.items()}
         self.graded = all(
             self.lam[t] == self.lam[r] + self.lam[s]
             for (r, s), t in germ.product.items()
         )
-        self._size = germ.size
         self._head_memo: dict[int, int] = {}  # s*size + t -> head
         self._is_identity = [False] * germ.size
         for e in germ.identities:
@@ -452,7 +451,7 @@ class GermStructure:
         if self.germ.is_identity(r):
             return t
         try:
-            return self.left_quot[(r, t)]
+            return self.left_quot[r * self._size + t]
         except KeyError:
             raise GarsideError(f"element {r} does not divide {t}") from None
 
@@ -525,7 +524,7 @@ class GermStructure:
                 del factors[i + 1]
                 last -= 1
             else:
-                factors[i + 1] = left_quot[(h, t)]
+                factors[i + 1] = left_quot[h * size + t]
             if i:
                 i -= 1
         return tuple(factors)

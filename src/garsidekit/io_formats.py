@@ -484,8 +484,12 @@ def _auto_family(ctx: PresentedContext, bound: int) -> GarsideFamily:
 
 
 def build_structure(doc: StructureDoc, limits: Limits = DEFAULT_LIMITS) -> Loaded:
-    pres = structure_presentation(doc)
-    ctx = PresentedContext(pres, limits=limits)
+    return _structure_on(PresentedContext(structure_presentation(doc), limits=limits), doc)
+
+
+def _structure_on(ctx: PresentedContext, doc: StructureDoc) -> Loaded:
+    """The file's Garside data wired on a context over its presentation."""
+    pres = ctx.presentation
     family: GarsideFamily | None = None
     gm: GarsideMap | None = None
     unbounded: Unbounded | None = None
@@ -498,7 +502,7 @@ def build_structure(doc: StructureDoc, limits: Limits = DEFAULT_LIMITS) -> Loade
             delta = pres.parse_word(" ".join(doc.garside[1]))
             family, built = _divisor_family(ctx, delta)
         else:
-            family = _auto_family(ctx, limits.family_search_bound)
+            family = _auto_family(ctx, ctx.limits.family_search_bound)
             built = build_garside_map(ctx, family)
         if isinstance(built, Unbounded):
             unbounded = built

@@ -80,17 +80,8 @@ class RewriteSystem:
 
     def left_divides(self, u: Word, v: Word):
         """u divides v iff some member of v's class starts with a member of u's."""
-        if u.is_empty:
-            return True
-        depth = (len(u) + len(v)) + self.limits.rewrite_slack
-        u_words, u_complete = self.closure(u, depth)
-        v_words, v_complete = self.closure(v, depth)
-        prefixes = set(u_words)
-        for z in v_words:
-            for k in range(1, len(z) + 1):
-                if z[:k] in prefixes:
-                    return True
-        return False if (u_complete and v_complete) else INCONCLUSIVE
+        q = self.left_quotient(u, v)
+        return q if q is INCONCLUSIVE else q is not None
 
     def left_quotient(self, u: Word, v: Word):
         if u.is_empty:

@@ -8,7 +8,7 @@ package under test.  The closure routines require homogeneous relations
 compute full congruence classes at fixed length by exhaustive rewriting, so
 answers are exact.
 
-The last five sections import the package.  One is the word-level
+The last six sections import the package.  One is the word-level
 sliding-circuit BFS that `garsidekit.conjugacy` used before it moved to
 factor tables.  It goes through words, `GarsideMap.phi`, context left
 quotients and the signed `delta_normalize` for every slide and candidate,
@@ -29,6 +29,9 @@ Then comes the word-level arm of `GarsideMap` from before every map read
 the germ Div(Δ): complements, φ, quotients, meets and normal forms of
 divisor sequences, all through context quotients, divisibility and the
 family's head extraction.  It is the reference for the table.
+Beside it is the padded Δ-normal form that `delta_normalize` computed
+before it read the table: d⁻¹·n with d divided into a Δ-power word, the
+quotient mapped through φ letter by letter, and the family's normal form.
 The last is the eager `germ_category`, which built and checked every
 relation at the call: the reference for the presentation that builds its
 relations on first read.
@@ -618,6 +621,67 @@ def word_meet(gm, i, j):
     if common:
         raise GarsideError("common divisors have no greatest element")
     return None
+
+
+def _letterwise_phi(gm, g, power):
+    """φ^power(g) letter by letter; a letter outside Div(Δ) raises NotADivisor."""
+    from garsidekit.core import Word, empty_word
+    from garsidekit.errors import NotADivisor
+
+    if g.is_empty:
+        return empty_word(gm.phi_object(g.source, power))
+    gens = gm.ctx.presentation.generators
+    elements = gm.family.elements
+    letters: list[int] = []
+    for letter in g.letters:
+        i = gm.family.index(gm.ctx.presentation.word([letter]))
+        if i is None:
+            raise NotADivisor(gens[letter].name)
+        letters.extend(elements[gm.phi_index(i, power)].letters)
+    return Word(tuple(letters), gens[letters[0]].source, gens[letters[-1]].target)
+
+
+def padded_delta_normalize(gm, w):
+    """
+    Maximal-inf Δ-normal form through words: express w as d⁻¹·n, pad d to
+    Δ^p with p the length of d's normal form, divide Δ^p by d in the
+    context, and commute Δ⁻ᵖ to the front through φ⁻ᵖ.
+    """
+    from garsidekit import reversing as rev
+    from garsidekit.bounded import DeltaNormal
+    from garsidekit.core import Word, concat, empty_word, signed_from_word
+    from garsidekit.errors import INCONCLUSIVE, GarsideError, UnsupportedError
+    from garsidekit.garside import left_fraction
+
+    if isinstance(w, Word):
+        w = signed_from_word(w)
+    ctx = gm.ctx
+    family = gm.family
+    if w.is_positive:
+        shift = 0
+        n = w.positive_part()
+    else:
+        fr = left_fraction(ctx, w)
+        if isinstance(fr, rev.Stuck):
+            raise UnsupportedError("no fraction available: missing common multiples")
+        if isinstance(fr, rev.Diverged):
+            raise UnsupportedError("fraction search ran out of fuel")
+        d, npart = fr
+        p = len(family.normalize(d).factors)
+        if p == 0:
+            shift = 0
+            n = npart
+        else:
+            dpow = empty_word(d.source)
+            for _ in range(p):
+                dpow = concat(dpow, gm.delta_word(dpow.target))
+            e = ctx.left_quotient(d, dpow)
+            if e is None or e is INCONCLUSIVE:
+                raise GarsideError("padding failed: d does not divide its Δ-power")
+            shift = -p
+            n = concat(_letterwise_phi(gm, e, -p), npart)
+    lead, factors = gm.strip_delta(family.normalize(n).factors)
+    return DeltaNormal(gm, shift + lead, factors, w.source, w.target)
 
 
 # --- eager germ presentation ---------------------------------------------------

@@ -15,8 +15,8 @@ from garsidekit.bounded import (
     lcm_left,
     lcm_right,
 )
-from garsidekit.core import empty_word, mirror_word
-from garsidekit.errors import GarsideError, NotADivisor
+from garsidekit.core import SignedWord, empty_word, mirror_word
+from garsidekit.errors import GarsideError, NotADivisor, UnsupportedError
 from garsidekit.garside import GarsideFamily
 from garsidekit.conjugacy import signed_equal
 
@@ -305,3 +305,173 @@ def test_table_matches_word_arms(request, name):
     for _ in range(40):
         seq = tuple(rng.choice(divs) for _ in range(rng.randint(3, 6)))
         assert gm.normal_factors(seq) == oracles.word_normal_factors(gm, seq), seq
+
+
+# --- Δ-forms from the table against the padded word route ---------------------------
+
+AC_GAR = """\
+[generators]
+a
+c
+
+[relations]
+c = a a
+
+[garside]
+delta: a
+"""
+
+B3C_GAR = """\
+[generators]
+a
+b
+c
+
+[relations]
+a b a = b a b
+c = a b a b
+
+[garside]
+delta: a b a
+"""
+
+
+def _form(d):
+    return (d.m, d.factors, d.source, d.target)
+
+
+def _signed_words(ctx, n):
+    """Every composable signed word of at most n letters, empty words included."""
+    steps = []
+    for g in ctx.presentation.generators:
+        steps += [((g.id, 1), g.source, g.target), ((g.id, -1), g.target, g.source)]
+    frontier = [SignedWord((), o.id, o.id) for o in ctx.presentation.objects]
+    out = list(frontier)
+    for _ in range(n):
+        frontier = [
+            SignedWord(w.letters + (x,), w.source if w.letters else a, b)
+            for w in frontier
+            for x, a, b in steps
+            if not w.letters or a == w.target
+        ]
+        out += frontier
+    return out
+
+
+def _random_signed(ctx, rng, lo, hi):
+    n = len(ctx.presentation.generators)
+    letters = tuple(
+        (rng.randrange(n), rng.choice((1, -1))) for _ in range(rng.randint(lo, hi))
+    )
+    return SignedWord(letters, 0, 0)
+
+
+def _outcome(fn, gm, w):
+    """The Δ-form, or the type and message of the error raised."""
+    try:
+        return _form(fn(gm, w))
+    except GarsideError as e:
+        return type(e), str(e)
+
+
+def _assert_same_forms(gm, words):
+    for w in words:
+        got = _outcome(delta_normalize, gm, w)
+        want = _outcome(oracles.padded_delta_normalize, gm, w)
+        assert got == want, gm.ctx.presentation.display_signed(w)
+
+
+def _map(request, entry, name):
+    """A catalog key's map, or the presented fixture `name`_gm."""
+    return entry(name).garside_map if ":" in name else request.getfixturevalue(f"{name}_gm")
+
+
+@pytest.mark.parametrize(
+    "name, n, count",
+    [("braid:3", 4, 11111), ("b3", 4, 341), ("dual_braid:4", 3, 18279), ("free_abelian:3", 3, 2955)],
+)
+def test_delta_forms_match_padded_route_on_short_words(request, entry, name, n, count):
+    gm = _map(request, entry, name)
+    words = _signed_words(gm.ctx, n)
+    assert len(words) == count
+    _assert_same_forms(gm, words)
+
+
+@pytest.mark.parametrize("name", ["braid:4", "dual_braid:4", "b4"])
+def test_delta_forms_match_padded_route_on_long_words(request, entry, name):
+    gm = _map(request, entry, name)
+    rng = random.Random(name)
+    count = 15 if name == "b4" else 40
+    _assert_same_forms(gm, [_random_signed(gm.ctx, rng, 50, 200) for _ in range(count)])
+
+
+def test_delta_forms_match_padded_route_on_a3_ribbon_walks():
+    from garsidekit.bounded import germ_family
+    from garsidekit.germs import GermContext
+    from test_conjugacy import _random_path, a3_ribbon_germ
+
+    germ, _, _ = a3_ribbon_germ()
+    ctx = GermContext(germ)
+    _, gm = germ_family(ctx)
+    rng = random.Random("a3-ribbon-forms")
+    gens = ctx.presentation.generators
+    starts = [o.id for o in germ.objects if any(g.source == o.id for g in gens)]
+    assert len(starts) == 7  # every object but {a, b, c}, where nothing starts
+    walks = [
+        _random_path(ctx, rng, obj, rng.randint(1, 10)) for obj in starts for _ in range(40)
+    ]
+    _assert_same_forms(gm, walks)
+
+
+@pytest.mark.parametrize("text", [AC_GAR, B3C_GAR], ids=["ac", "b3c"])
+def test_delta_forms_with_a_generator_outside_div_delta(text):
+    from garsidekit import io_formats as iof
+
+    gm = iof.load_text(text).garside_map
+    words = _signed_words(gm.ctx, 4)
+    _assert_same_forms(gm, words)
+    if text == B3C_GAR:
+        sw = gm.ctx.presentation.parse_signed("b^-1 c a^-1")
+        with pytest.raises(UnsupportedError, match="no fraction available"):
+            delta_normalize(gm, sw)
+
+
+def test_delta_normalize_reads_no_word_route(b4_gm, monkeypatch):
+    """Signed Δ-forms come from the table alone: no context quotient, no
+    family head or normal form, no word-level φ or Δ."""
+    rng = random.Random("table-only")
+    words = [_random_signed(b4_gm.ctx, rng, 1, 30) for _ in range(30)]
+    want = [_form(oracles.padded_delta_normalize(b4_gm, w)) for w in words]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("word-level route used")
+
+    monkeypatch.setattr(b4_gm.ctx, "left_quotient", refuse)
+    monkeypatch.setattr(b4_gm.family, "normalize", refuse)
+    monkeypatch.setattr(b4_gm.family, "head", refuse)
+    monkeypatch.setattr(b4_gm, "phi", refuse)
+    monkeypatch.setattr(b4_gm, "delta_word", refuse)
+    assert [_form(delta_normalize(b4_gm, w)) for w in words] == want
+
+
+def test_phi_of_a_generator_outside_div_delta_maps_its_normal_factors():
+    from garsidekit import io_formats as iof
+    from garsidekit.core import concat
+
+    for text in (AC_GAR, B3C_GAR):
+        gm = iof.load_text(text).garside_map
+        ctx = gm.ctx
+        c = ctx.parse("c")
+        assert gm.family.index(c) is None
+        with pytest.raises(NotADivisor):
+            gm.complement(c)
+        factors = gm.family.normalize(c).factors
+        for power in (1, -1, 2):
+            by_table = by_phi = empty_word(0)
+            for f in factors:
+                by_table = concat(by_table, gm.family.elements[gm.phi_index(f, power)])
+                by_phi = concat(by_phi, gm.phi(gm.family.elements[f], power))
+            assert gm.phi(c, power) == by_table
+            assert ctx.equal(gm.phi(c, power), by_phi)
+        delta = gm.delta_word(0)
+        assert ctx.equal(concat(delta, gm.phi(c)), concat(c, delta))

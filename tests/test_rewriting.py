@@ -51,6 +51,31 @@ def test_left_divides_and_quotient(rw, ctx):
     assert rw.left_quotient(ctx.parse("b"), ctx.parse("ab")) is None
 
 
+def test_left_divides_agrees_with_left_quotient():
+    """Divisibility is whether a quotient was found, INCONCLUSIVE included;
+    on B3 the answers are exact."""
+    klein = monoid_presentation("ab", [("a", "bab")])
+    tight = dataclasses.replace(DEFAULT_LIMITS, rewrite_states=5, rewrite_slack=2)
+    b3 = monoid_presentation("ab", [("aba", "bab")])
+    undecided = 0
+    for p, limits in ((klein, tight), (b3, DEFAULT_LIMITS)):
+        rw = RewriteSystem(p, limits)
+        ctx = PresentedContext(p, limits=limits)
+        for s in oracles.words_up_to("ab", 3):
+            for t in oracles.words_up_to("ab", 3):
+                u, v = ctx.parse(s), ctx.parse(t)
+                q = rw.left_quotient(u, v)
+                got = rw.left_divides(u, v)
+                if q is INCONCLUSIVE:
+                    assert got is INCONCLUSIVE, (s, t)
+                    undecided += 1
+                else:
+                    assert got is (q is not None), (s, t)
+                if p is b3:
+                    assert got is oracles.left_divides(s, t, B3_RELS), (s, t)
+    assert undecided > 0
+
+
 def test_homogeneous_classes_always_complete(ctx):
     tight = dataclasses.replace(DEFAULT_LIMITS, rewrite_states=10)
     rw = RewriteSystem(ctx.presentation, tight)
